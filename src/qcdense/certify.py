@@ -15,8 +15,7 @@ certifier falls back to a brute scan over the members in canonical order.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -260,25 +259,38 @@ def _embed(chi_component: Character, j: int, factors: tuple) -> ProductChar:
     return ProductChar(tuple(comps))
 
 
-def _embed_elem(x: object, j: int, zeros: list) -> ProductElem:
+def _embed_elem(x: object, j: int, zeros: tuple) -> ProductElem:
     coords = list(zeros)
     coords[j] = x
     return ProductElem(tuple(coords))
 
 
-def _part_witness(chi_component: Character, part: SuperSeq) -> WitnessRecord | None:
-    """Constructive-then-brute witness search inside one fan part."""
-    kind = part.group.kind
+def _find(chi: Character, seq: SuperSeq, mode: str) -> WitnessRecord | None:
+    """Constructive witness for chi on seq, else the first member meeting the mode.
+
+    A qc witness value lies outside the quarter arc, hence is nonzero, so
+    the constructive finders and the escape scan serve generation too; only
+    when no member escapes does generation fall back to a nonzero pairing.
+    """
+    kind = seq.group.kind
     try:
-        if kind == "torus" and chi_component.kind == "torus":
-            return witness_torus(chi_component, part)
-        if kind == "profinite" and chi_component.kind == "profinite":
-            return witness_profinite(chi_component, part)
-        if kind == "solenoid" and chi_component.kind == "solenoid":
-            return witness_solenoid(chi_component, part)
+        if kind == "torus" and chi.kind == "torus":
+            return witness_torus(chi, seq)
+        if kind == "profinite" and chi.kind == "profinite":
+            return witness_profinite(chi, seq)
+        if kind == "solenoid" and chi.kind == "solenoid":
+            return witness_solenoid(chi, seq)
+        if seq.parts is not None and chi.kind == "product":
+            return witness_fan(chi, seq)
     except TruncationTooSmall:
         pass
-    return brute_force_witness(chi_component, part)
+    rec = brute_force_witness(chi, seq)
+    if rec is None and mode == "generation":
+        for x in seq.members:
+            value = eval_char(chi, x)
+            if not value.is_zero():
+                return WitnessRecord(chi, x, value, in_tplus(value), METHOD_BRUTE)
+    return rec
 
 
 def witness_fan(chi: ProductChar, seq: SuperSeq) -> WitnessRecord:
@@ -292,12 +304,11 @@ def witness_fan(chi: ProductChar, seq: SuperSeq) -> WitnessRecord:
         raise KindMismatch("witness_fan needs a fan-generated sequence")
     if not isinstance(chi, ProductChar):
         raise KindMismatch("witness_fan needs a product character")
-    factors = seq.group.factors
-    zeros = [group_zero(f) for f in factors]
+    zeros = group_zero(seq.group).coords
     for j, comp in enumerate(chi.components):
         if is_trivial(comp):
             continue
-        rec = _part_witness(comp, seq.parts[j])
+        rec = _find(comp, seq.parts[j], "qc")
         if rec is None:
             # this component annihilates its part; a later one may escape
             continue
@@ -312,35 +323,7 @@ def witness_fan(chi: ProductChar, seq: SuperSeq) -> WitnessRecord:
 
 
 # ---------------------------------------------------------------------------
-# certification sweeps
-
-
-def _threads_default(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("QCDENSE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"QCDENSE_THREADS must be an integer: {env!r}") from exc
-    return max(1, os.cpu_count() or 1)
-
-
-def _constructive_then_brute(chi: Character, seq: SuperSeq) -> WitnessRecord | None:
-    kind = seq.group.kind
-    try:
-        if kind == "torus" and chi.kind == "torus":
-            return witness_torus(chi, seq)
-        if kind == "profinite" and chi.kind == "profinite":
-            return witness_profinite(chi, seq)
-        if kind == "solenoid" and chi.kind == "solenoid":
-            return witness_solenoid(chi, seq)
-        if seq.parts is not None and chi.kind == "product":
-            return witness_fan(chi, seq)
-    except TruncationTooSmall:
-        pass
-    return brute_force_witness(chi, seq)
+# certification
 
 
 def _reverify(rec: WitnessRecord, mode: str) -> None:
@@ -353,53 +336,38 @@ def _reverify(rec: WitnessRecord, mode: str) -> None:
         raise InvariantViolation("generation record value re-verifies to zero")
 
 
-def _generation_record(chi: Character, seq: SuperSeq) -> WitnessRecord | None:
-    # a qc witness value lies outside the quarter arc, hence is nonzero,
-    # so the constructive finders double as generation finders
-    rec = _constructive_then_brute(chi, seq)
-    if rec is not None:
-        return rec
-    for x in seq.members:
-        value = eval_char(chi, x)
-        if not value.is_zero():
-            return WitnessRecord(chi, x, value, in_tplus(value), METHOD_BRUTE)
-    return None
-
-
-def _sweep(
-    items: list, worker, threads: int
-) -> list[WitnessRecord | None]:
-    """Run worker over items, deterministically ordered, chunked if parallel."""
-    if threads <= 1 or len(items) < 128:
-        return [worker(it) for it in items]
-    chunk = max(64, len(items) // (threads * 8))
-    slices = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-    out: list[WitnessRecord | None] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(lambda sl: [worker(it) for it in sl], slices):
-            out.extend(result)
-    return out
-
-
-def _assemble(
-    seq: SuperSeq,
+def _certify(
+    group: object,
+    spec: tuple[str, tuple],
     bound: int,
     mode: str,
-    items: list[Character],
-    results: list[WitnessRecord | None],
-    coverage: str,
+    items: Iterable[tuple[Character, Character, SuperSeq, int | None]],
+    coverage: str = "full",
+    zeros: tuple = (),
 ) -> Certificate:
+    """Sweep the work items in order and stop at the first failing character.
+
+    An item (chi, comp, part, j) certifies chi through a witness for comp
+    among the members of part.  With j None the record stands as found;
+    otherwise its witness is embedded at coordinate j of zeros, and the
+    re-verification of the full character at the embedded witness checks
+    that the embedding kept the component value.
+    """
     records: list[WitnessRecord] = []
     failed: Character | None = None
-    for chi, rec in zip(items, results):
+    for chi, comp, part, j in items:
+        rec = _find(comp, part, mode)
         if rec is None:
             failed = chi
             break
+        if j is not None:
+            witness = _embed_elem(rec.witness, j, zeros)
+            rec = WitnessRecord(chi, witness, rec.value, rec.in_tplus, rec.method)
         _reverify(rec, mode)
         records.append(rec)
     return Certificate(
-        group=seq.group,
-        sequence_spec=(seq.generator, seq.params),
+        group=group,
+        sequence_spec=spec,
         bound=bound,
         mode=mode,
         status="certified" if failed is None else "failed",
@@ -409,7 +377,7 @@ def _assemble(
     )
 
 
-def _fan_items(seq: SuperSeq, bound: int) -> tuple[list[Character], list[tuple[int, Character]]]:
+def _fan_items(seq: SuperSeq, bound: int) -> list[tuple[ProductChar, Character, SuperSeq, int]]:
     """Work items for the componentwise fan sweep, complexity-major.
 
     Every product character at the bound is nonzero on some coordinate, and
@@ -425,9 +393,18 @@ def _fan_items(seq: SuperSeq, bound: int) -> tuple[list[Character], list[tuple[i
         for comp in enumerate_chars(f, bound):
             tagged.append((char_sort_key(comp), j, comp))
     tagged.sort(key=lambda t: (t[0], t[1]))
-    items = [_embed(comp, j, factors) for _, j, comp in tagged]
-    pairs = [(j, comp) for _, j, comp in tagged]
-    return items, pairs
+    return [(_embed(comp, j, factors), comp, seq.parts[j], j) for _, j, comp in tagged]
+
+
+def _certify_sequence(seq: SuperSeq, G: object, bound: int, mode: str) -> Certificate:
+    if G != seq.group:
+        raise KindMismatch("group descriptor does not match the sequence group")
+    spec = (seq.generator, seq.params)
+    if seq.parts is not None and G.kind == "product":
+        items = _fan_items(seq, bound)
+        return _certify(G, spec, bound, mode, items, "componentwise", group_zero(G).coords)
+    items = ((chi, chi, seq, None) for chi in enumerate_chars(G, bound))
+    return _certify(G, spec, bound, mode, items)
 
 
 def certify_qc(
@@ -436,30 +413,11 @@ def certify_qc(
     """Certify that every nonzero character at the bound escapes on members.
 
     Fan sequences sweep componentwise (see _fan_items); everything else
-    enumerates the full dual at the bound.  Results do not depend on the
-    parallelism degree.
+    enumerates the full dual at the bound.  The sweep is serial and stops
+    at the first character without a witness.  threads is accepted for
+    older callers and ignored.
     """
-    if G != seq.group:
-        raise KindMismatch("group descriptor does not match the sequence group")
-    threads = _threads_default(threads)
-    if seq.parts is not None and G.kind == "product":
-        items, pairs = _fan_items(seq, bound)
-
-        def worker(pair):
-            j, comp = pair
-            rec = _part_witness(comp, seq.parts[j])
-            if rec is None:
-                return None
-            witness = _embed_elem(rec.witness, j, [group_zero(f) for f in G.factors])
-            chi = _embed(comp, j, G.factors)
-            value = eval_char(chi, witness)
-            return WitnessRecord(chi, witness, value, in_tplus(value), rec.method)
-
-        results = _sweep(pairs, worker, threads)
-        return _assemble(seq, bound, "qc", items, results, "componentwise")
-    items = enumerate_chars(G, bound)
-    results = _sweep(items, lambda chi: _constructive_then_brute(chi, seq), threads)
-    return _assemble(seq, bound, "qc", items, results, "full")
+    return _certify_sequence(seq, G, bound, "qc")
 
 
 def check_generation(
@@ -468,29 +426,10 @@ def check_generation(
     """Certify that no nonzero character at the bound annihilates the members.
 
     Success means the members topologically generate against every closed
-    subgroup a bounded character can cut out.
+    subgroup a bounded character can cut out.  threads is accepted for
+    older callers and ignored.
     """
-    if G != seq.group:
-        raise KindMismatch("group descriptor does not match the sequence group")
-    threads = _threads_default(threads)
-    if seq.parts is not None and G.kind == "product":
-        items, pairs = _fan_items(seq, bound)
-
-        def worker(pair):
-            j, comp = pair
-            rec = _generation_record(comp, seq.parts[j])
-            if rec is None:
-                return None
-            witness = _embed_elem(rec.witness, j, [group_zero(f) for f in G.factors])
-            chi = _embed(comp, j, G.factors)
-            value = eval_char(chi, witness)
-            return WitnessRecord(chi, witness, value, in_tplus(value), rec.method)
-
-        results = _sweep(pairs, worker, threads)
-        return _assemble(seq, bound, "generation", items, results, "componentwise")
-    items = enumerate_chars(G, bound)
-    results = _sweep(items, lambda chi: _generation_record(chi, seq), threads)
-    return _assemble(seq, bound, "generation", items, results, "full")
+    return _certify_sequence(seq, G, bound, "generation")
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--mode", choices=["qc", "generation"], default="qc")
     cert.add_argument("--finite-factor", dest="finite_factor", type=str, default=None)
     cert.add_argument("--singleton", type=str, default=None, help="certify {phi(a/b)} on the torus")
-    cert.add_argument("--threads", type=int, default=None)
 
     rep = sub.add_parser("report", help="escape counts for a profinite truncation level")
     add_common(rep)
@@ -110,14 +109,16 @@ def _run(args) -> int:
     if args.command == "certify":
         if args.bound < 1:
             raise ValidationError("--bound must be at least 1")
+        if args.finite_factor is not None and args.mode != "qc":
+            raise ValidationError("--finite-factor supports --mode qc only")
         seq = _build_sequence(args)
         if args.finite_factor is not None:
             F = builtin_group(args.finite_factor)
-            cert = certify_qc_with_finite_factor(seq, F, args.bound, args.threads)
+            cert = certify_qc_with_finite_factor(seq, F, args.bound)
         elif args.mode == "generation":
-            cert = check_generation(seq, seq.group, args.bound, args.threads)
+            cert = check_generation(seq, seq.group, args.bound)
         else:
-            cert = certify_qc(seq, seq.group, args.bound, args.threads)
+            cert = certify_qc(seq, seq.group, args.bound)
         _emit(args, certificate_to_json(cert), {"mode": cert.mode})
         return 0 if cert.certified else 1
 

@@ -14,23 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 
-from .certify import (
-    Certificate,
-    WitnessRecord,
-    _constructive_then_brute,
-    _threads_default,
-)
-from .circle import in_tplus
+from .certify import Certificate, _certify
 from .duality import (
     FiniteAbelianChar,
     ProductChar,
     char_sort_key,
     enumerate_chars,
-    eval_char,
     trivial_char,
 )
 from .errors import InvariantViolation, SizeLimit, ValidationError
-from .groups import ProductElem, ProductWithFinite
+from .groups import ProductWithFinite, group_zero
 from .sequences import SuperSeq
 
 DERIVED_SIZE_LIMIT = 10_000
@@ -398,51 +391,28 @@ def finite_abelian_chars(desc: FiniteAbelianDesc) -> list[FiniteAbelianChar]:
 
 
 def certify_qc_with_finite_factor(
-    seq: SuperSeq, F: FiniteGroup, bound: int, threads: int | None = None
+    seq: SuperSeq, F: FiniteGroup, bound: int
 ) -> Certificate:
     """Certify E x {e} inside A x F for the abelian sequence E in A.
 
     Characters are pairs; the finite side is enumerated completely through
     the abelianization while the abelian side sweeps up to the bound.  Any
     pair with a trivial abelian part but nontrivial finite part annihilates
-    every member, so nonperfect F fails immediately and by design.
+    every member, so nonperfect F fails immediately and by design.  For
+    perfect F each abelian record carries over with the witness (w, e).
     """
-    _threads_default(threads)  # validates the env override eagerly
     A = seq.group
     G = ProductWithFinite(A, F)
-    desc = abelianization(F)
-    finite_nontrivial = finite_abelian_chars(desc)
+    spec = (seq.generator, seq.params + (("finite_factor", F.name),))
+    finite_nontrivial = finite_abelian_chars(abelianization(F))
+    # enumerated first so that an unsupported bound raises whatever F is
+    abelian_chars = enumerate_chars(A, bound)
+    if finite_nontrivial:
+        failed = ProductChar((trivial_char(A), finite_nontrivial[0]))
+        return Certificate(
+            group=G, sequence_spec=spec, bound=bound, mode="qc", status="failed",
+            failed_character=failed, records=(),
+        )
     trivial_fin = FiniteAbelianChar((), (), ())
-    abelian_chars = [None] + enumerate_chars(A, bound)  # None marks trivial
-    records: list[WitnessRecord] = []
-    failed = None
-    for chi_a in abelian_chars:
-        for zeta in [trivial_fin] + finite_nontrivial:
-            if chi_a is None and not zeta.factors:
-                continue
-            pair = ProductChar((chi_a if chi_a is not None else trivial_char(A), zeta))
-            if chi_a is None:
-                # vanishes on every member of E x {e}
-                failed = pair
-                break
-            rec = _constructive_then_brute(chi_a, seq)
-            if rec is None:
-                failed = pair
-                break
-            witness = ProductElem((rec.witness, F.identity))
-            value = eval_char(pair, witness)
-            if value != rec.value or in_tplus(value):
-                raise InvariantViolation("finite-factor pair failed re-verification")
-            records.append(WitnessRecord(pair, witness, value, False, rec.method))
-        if failed is not None:
-            break
-    return Certificate(
-        group=G,
-        sequence_spec=(seq.generator, seq.params + (("finite_factor", F.name),)),
-        bound=bound,
-        mode="qc",
-        status="certified" if failed is None else "failed",
-        failed_character=failed,
-        records=tuple(records),
-        coverage="full",
-    )
+    items = ((ProductChar((chi, trivial_fin)), chi, seq, 0) for chi in abelian_chars)
+    return _certify(G, spec, bound, "qc", items, "full", group_zero(G).coords)

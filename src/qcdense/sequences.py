@@ -216,10 +216,15 @@ def fan(parts) -> SuperSeq:
     Members of part i map to the product element that is the member at
     coordinate i and zero elsewhere; the limit is the zero tuple.  Parts
     contribute no shared members because members never equal their limit.
+    A part may not itself live in a product: the componentwise sweep orders
+    component characters of every factor on one scale.
     """
     parts = tuple(parts)
     if not parts:
         raise ValidationError("fan needs at least one part")
+    for part in parts:
+        if part.group.kind in ("product", "product_with_finite"):
+            raise ValidationError(f"fan parts must not be {part.group.kind} groups")
     factors = tuple(p.group for p in parts)
     G = Product(factors)
     zeros = [group_zero(f) for f in factors]

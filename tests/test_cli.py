@@ -140,13 +140,13 @@ class TestCertify:
         payload = payload_of(out)
         assert payload["status"] == "certified"
 
-    def test_solenoid_threads(self, capsys):
+    def test_solenoid_reproducible(self, capsys):
         args = ["certify", "--group", "solenoid", "--primes", "2,3,5",
                 "--n-max", "2", "--N", "6", "--bound", "6"]
-        code1, out1, _ = run_cli(capsys, *args, "--threads", "1")
-        code4, out4, _ = run_cli(capsys, *args, "--threads", "4")
-        assert code1 == code4 == 0
-        assert json.loads(out1)["payload"] == json.loads(out4)["payload"]
+        code1, out1, _ = run_cli(capsys, *args)
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
 
     def test_finite_factor_perfect(self, capsys):
         code, out, _ = run_cli(
@@ -168,6 +168,15 @@ class TestCertify:
         assert payload["records"] == []
         failed = payload["failed_character"]
         assert failed["components"][1]["kind"] == "finite_abelian"
+
+    def test_finite_factor_rejects_generation(self, capsys):
+        code, out, err = run_cli(
+            capsys, "certify", "--N", "100", "--bound", "50",
+            "--mode", "generation", "--finite-factor", "A5",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
 
     def test_bound_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--N", "5", "--bound", "0")

@@ -29,6 +29,7 @@ from qcdense.nonabelian import (
     load_finite_group,
 )
 from qcdense.sequences import from_members, profinite_sequence, torus_sequence
+from qcdense.serialize import canonical_dumps, certificate_to_json
 
 P235 = (2, 3, 5)
 
@@ -380,7 +381,10 @@ class TestFiniteFactor:
         cert = certify_qc_with_finite_factor(torus_sequence(5), A5, 2)
         assert ("finite_factor", "A5") in cert.sequence_spec[1]
 
-    def test_env_validated(self, monkeypatch):
-        monkeypatch.setenv("QCDENSE_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            certify_qc_with_finite_factor(torus_sequence(5), cyclic_group(1), 2)
+    def test_bytes_reproducible(self):
+        A5 = builtin_group("A5")
+        a = certify_qc_with_finite_factor(torus_sequence(40), A5, 20)
+        b = certify_qc_with_finite_factor(torus_sequence(40), A5, 20)
+        assert canonical_dumps(certificate_to_json(a)) == canonical_dumps(
+            certificate_to_json(b)
+        )

@@ -12,12 +12,14 @@ from qcdense.groups import (
     IntegerPoint,
     Product,
     ProductElem,
+    ProductWithFinite,
     Profinite,
     Solenoid,
     SolenoidPoint,
     Torus,
     k_sequence,
 )
+from qcdense.nonabelian import builtin_group
 from qcdense.sequences import (
     ProductProjection,
     SolenoidToTorus,
@@ -210,6 +212,17 @@ class TestFan:
         f = fan((torus_sequence(1), profinite_sequence(P235, 0)))
         assert f.group == Product((Torus(), Profinite(P235)))
         assert len(f.members) == 3
+
+    def test_product_part_rejected(self):
+        inner = fan((torus_sequence(4), torus_sequence(3)))
+        with pytest.raises(ValidationError, match="product"):
+            fan((torus_sequence(5), inner))
+
+    def test_product_with_finite_part_rejected(self):
+        G = ProductWithFinite(Torus(), builtin_group("A5"))
+        part = from_members(G, [ProductElem((UnitRational(1, 2), G.finite.identity))])
+        with pytest.raises(ValidationError, match="product_with_finite"):
+            fan((part,))
 
 
 class TestPushforward:

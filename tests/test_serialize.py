@@ -1,10 +1,12 @@
 """JSON round trips, the decimal-string policy, canonical payload bytes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from qcdense import primes_below
 from qcdense.certify import certify_qc, check_generation, escape_report
 from qcdense.circle import UnitRational, phi
 from qcdense.duality import (
@@ -302,8 +304,8 @@ class TestCanonical:
         assert canonical_dumps({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
     def test_certificate_bytes_reproducible(self):
-        a = certify_qc(torus_sequence(50), Torus(), 25, threads=1)
-        b = certify_qc(torus_sequence(50), Torus(), 25, threads=4)
+        a = certify_qc(torus_sequence(50), Torus(), 25)
+        b = certify_qc(torus_sequence(50), Torus(), 25)
         assert canonical_dumps(certificate_to_json(a)) == canonical_dumps(
             certificate_to_json(b)
         )
@@ -313,3 +315,50 @@ class TestCanonical:
         text = canonical_dumps(certificate_to_json(cert))
         back = certificate_from_json(json.loads(text))
         assert canonical_dumps(certificate_to_json(back)) == text
+
+
+# --- golden payload hashes ----------------------------------------------------------
+
+
+def _fan_cert(check):
+    P = tuple(primes_below(100))
+    seq = fan([solenoid_sequence(P, 24, 20, 8), profinite_sequence(P, 24, 8), torus_sequence(20)])
+    return check(seq, seq.group, 20)
+
+
+GOLDEN = {
+    "fan qc": (
+        lambda: _fan_cert(certify_qc),
+        "06697bf73b27fc2e5809eeb350b8887d1eac4537f2f858429be5c5a967b8a4f4",
+    ),
+    "fan generation": (
+        lambda: _fan_cert(check_generation),
+        "98e441d470a7e49d6298c69dcd82fc247619a1a65735d194de17a8f1e70cf409",
+    ),
+    "torus x A5": (
+        lambda: certify_qc_with_finite_factor(torus_sequence(30), builtin_group("A5"), 30),
+        "400b188a362bc535504036ee84c836b00e2ab9d730b98bc9eb1d4a8b856ddc61",
+    ),
+    "torus x S3 fails": (
+        lambda: certify_qc_with_finite_factor(torus_sequence(30), builtin_group("S3"), 30),
+        "c278e080210bba74af3b1343b0ae1b8dd0c34096f8cf73898de6241e01f6df2f",
+    ),
+    "singleton 1/3 fails": (
+        lambda: certify_qc(from_members(Torus(), [phi("1/3")], name="singleton"), Torus(), 3),
+        "2f88fa902a3bf7fa42fe54ef279f5724318f70f08ff1b0a33bfe734302386e20",
+    ),
+    "profinite brute fallback": (
+        lambda: certify_qc(profinite_sequence(P235, 0), Profinite(P235), 5),
+        "0400a6ff9e8e25b6a460ffabef4959776b27617e2ff662102d142a9d2442a53c",
+    ),
+}
+
+
+class TestGoldenPayloads:
+    """Payload bytes pinned across versions, not only across runs of one version."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_sha256(self, name):
+        build, expected = GOLDEN[name]
+        text = canonical_dumps(certificate_to_json(build()))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
