@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import __version__
+from ._intmath import primes_below
 from .certify import certify_qc, check_generation, escape_report
 from .circle import phi
 from .errors import QcdenseError, ValidationError
@@ -26,15 +28,13 @@ from .serialize import (
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
-    if text.startswith("below:"):
-        from ._intmath import primes_below
-
-        limit = int(text.split(":", 1)[1])
-        return tuple(primes_below(limit))
     try:
-        return tuple(int(p) for p in text.split(","))
+        if not text.startswith("below:"):
+            return tuple(int(p) for p in text.split(","))
+        limit = int(text.split(":", 1)[1])
     except ValueError as exc:
         raise ValidationError(f"cannot parse prime list {text!r}") from exc
+    return tuple(primes_below(limit))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,12 +92,11 @@ def _build_sequence(args):
 def _emit(args, payload: dict, header_extra: dict) -> None:
     header = {"tool": "qcdense", "version": __version__, "command": args.command}
     header.update(header_extra)
-    text = json.dumps({"header": header, "payload": payload}, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    # streamed, so the whole indented text is never built in memory
+    stream = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with stream as fh:
+        json.dump({"header": header, "payload": payload}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _run(args) -> int:

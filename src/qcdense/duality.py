@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from ._intmath import primes_below
@@ -290,21 +291,11 @@ def enumerate_chars(G, bound: int) -> list[Character]:
                     f"{PRODUCT_ENUMERATION_LIMIT} characters"
                 )
             per_factor.append(opts)
-        out = []
-        idx = [0] * len(per_factor)
-        while True:
-            tup = tuple(per_factor[i][idx[i]] for i in range(len(per_factor)))
-            if any(not is_trivial(c) for c in tup):
-                out.append(ProductChar(tup))
-            pos = len(per_factor) - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < len(per_factor[pos]):
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
+        out = [
+            ProductChar(tup)
+            for tup in product(*per_factor)
+            if any(not is_trivial(c) for c in tup)
+        ]
         return sorted(out, key=char_sort_key)
     if k == "product_with_finite":
         raise KindMismatch(

@@ -12,7 +12,7 @@ finite characters, so the A-side certificate carries over whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 
 from .certify import Certificate, _certify
 from .duality import (
@@ -27,7 +27,6 @@ from .groups import ProductWithFinite, group_zero
 from .sequences import SuperSeq
 
 DERIVED_SIZE_LIMIT = 10_000
-DECOMPOSE_WORK_LIMIT = 2_000_000
 
 
 class FiniteGroup:
@@ -264,96 +263,58 @@ class FiniteAbelianDesc:
         return n
 
 
-class _AbelianTable:
-    """Scratch representation of a finite abelian group during decomposition."""
-
-    def __init__(self, elems: list[int], mul, identity: int):
-        self.elems = elems
-        self.mul = mul
-        self.identity = identity
-
-    def order_of(self, x: int) -> int:
-        n, acc = 1, x
-        while acc != self.identity:
-            acc = self.mul(acc, x)
-            n += 1
-        return n
-
-    def cyclic(self, g: int) -> list[int]:
-        out = [self.identity]
-        acc = g
-        while acc != self.identity:
-            out.append(acc)
-            acc = self.mul(acc, g)
-        return out
+def _order_mod(x: int, span, mul) -> int:
+    """Least n >= 1 with x^n in span; span holds the identity."""
+    n, acc = 1, x
+    while acc not in span:
+        acc = mul(acc, x)
+        n += 1
+    return n
 
 
-def _subgroup_closure(A: _AbelianTable, gens: tuple[int, ...]) -> frozenset:
-    got = {A.identity}
-    frontier = [A.identity]
-    gens = tuple(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = A.mul(x, g)
-                if y not in got:
-                    got.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(got)
+def _decompose(elems, mul, identity) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """Invariant factors (descending) of a finite abelian group, with coordinates.
 
-
-def _find_complement(A: _AbelianTable, g: int) -> frozenset:
-    """A subgroup meeting <g> trivially and filling the rest of the order.
-
-    A maximal-order cyclic subgroup of a finite abelian group is always a
-    direct summand, so the search over small generator sets terminates.
+    The span of the cyclic summands found so far starts at the identity.
+    Each round takes the element outside it of largest order M modulo the
+    span (ties to the smallest index) and lifts it within its coset to an
+    element of order exactly M.  A cyclic subgroup of largest order in the
+    quotient splits off, so such a lift exists and meets the span
+    trivially; every coordinate tuple then gains the exponent a < M.
     """
-    cyc = frozenset(A.cyclic(g))
-    target = len(A.elems) // len(cyc)
-    if target == 1:
-        return frozenset([A.identity])
-    candidates = [x for x in A.elems if x != A.identity]
-    work = 0
-    for size in range(1, 7):
-        for gens in combinations(candidates, size):
-            work += 1
-            if work > DECOMPOSE_WORK_LIMIT:
-                raise SizeLimit("abelian decomposition search exceeded its budget")
-            K = _subgroup_closure(A, gens)
-            if len(K) == target and len(K & cyc) == 1:
-                return K
-    raise InvariantViolation("no direct complement found for a maximal cyclic part")
-
-
-def _decompose(A: _AbelianTable) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """Invariant factors (descending while peeling) plus coordinates."""
-    if len(A.elems) == 1:
-        return (), {A.identity: ()}
-    g = max(A.elems, key=lambda x: (A.order_of(x), -x))
-    M = A.order_of(g)
-    cyc = A.cyclic(g)
-    K = _find_complement(A, g)
-    sub = _AbelianTable(sorted(K), A.mul, A.identity)
-    sub_factors, sub_coords = _decompose(sub)
-    inv_g = cyc[M - 1]
-    coords: dict[int, tuple[int, ...]] = {}
-    for x in A.elems:
-        # unique split x = alpha * g + k with k in K
-        k = x
-        for alpha in range(M):
-            if k in K:
-                coords[x] = (alpha,) + sub_coords[k]
+    coords: dict[int, tuple[int, ...]] = {identity: ()}
+    trivial = (identity,)
+    factors = []
+    while len(coords) < len(elems):
+        g = max(
+            (x for x in elems if x not in coords),
+            key=lambda x: (_order_mod(x, coords, mul), -x),
+        )
+        M = _order_mod(g, coords, mul)
+        for s in sorted(coords):
+            lift = mul(g, s)
+            if _order_mod(lift, trivial, mul) == M:
                 break
-            k = A.mul(k, inv_g)
         else:
-            raise InvariantViolation("element failed to split across the summands")
-    return (M,) + sub_factors, coords
+            raise InvariantViolation("no lift of a largest-order coset splits off")
+        grown: dict[int, tuple[int, ...]] = {}
+        power = identity
+        for a in range(M):
+            for s, c in coords.items():
+                grown[mul(power, s)] = c + (a,)
+            power = mul(power, lift)
+        coords = grown
+        factors.append(M)
+    return tuple(factors), coords
 
 
 def abelianization(F: FiniteGroup) -> FiniteAbelianDesc:
-    """The quotient F / [F, F] in ascending invariant factors."""
+    """The quotient F / [F, F] in ascending invariant factors.
+
+    Each coset of the derived subgroup is named by its least element; the
+    quotient multiplies representatives and maps the product back to its
+    coset's name, and ``_decompose`` splits that abelian group.
+    """
     D = derived_subgroup(F)
     coset_rep: dict[int, int] = {}
     for x in range(F.order):
@@ -364,8 +325,9 @@ def abelianization(F: FiniteGroup) -> FiniteAbelianDesc:
         for y in members:
             coset_rep[y] = rep
     reps = sorted(set(coset_rep.values()))
-    A = _AbelianTable(reps, lambda a, b: coset_rep[F.mul(a, b)], coset_rep[F.identity])
-    factors_desc, coords = _decompose(A)
+    factors_desc, coords = _decompose(
+        reps, lambda a, b: coset_rep[F.mul(a, b)], coset_rep[F.identity]
+    )
     # ascending divisibility order, coordinates permuted to match
     order_idx = list(range(len(factors_desc)))[::-1]
     factors = tuple(factors_desc[i] for i in order_idx)

@@ -85,6 +85,25 @@ class TestGen:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
+    def test_bad_primes_below_limit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen", "--group", "profinite", "--primes", "below:x", "--n-max", "0"
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert "below:x" in error["message"]
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["certify", "--N", "20", "--bound", "20", "--finite-factor", "A5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "cert.json"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == out
+        assert out.endswith("}\n")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "seq.json"
         code, out, _ = run_cli(capsys, "gen", "--N", "2", "--out", str(target))

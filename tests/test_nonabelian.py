@@ -1,5 +1,8 @@
 """Finite groups, abelian quotients, certification with a finite factor."""
 
+import hashlib
+import json
+import time
 from itertools import product as iter_product
 
 import pytest
@@ -145,6 +148,38 @@ def count_homs_to_cyclic(F, m):
     return count
 
 
+def cyclic_product(orders):
+    """Z/n1 x ... x Z/nk tabulated over its elements in lexicographic order."""
+    elems = list(iter_product(*[range(n) for n in orders]))
+    index = {e: i for i, e in enumerate(elems)}
+    table = [
+        [index[tuple((a + b) % n for a, b, n in zip(x, y, orders))] for y in elems]
+        for x in elems
+    ]
+    return FiniteGroup("x".join(f"Z{n}" for n in orders), table)
+
+
+def invariant_factors(orders):
+    """Ascending invariant factors from the prime-power parts of each order."""
+    powers = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    width = max((len(v) for v in powers.values()), default=0)
+    factors = [1] * width
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            factors[width - 1 - i] *= q
+    return tuple(factors)
+
+
 # --- tables and constructors --------------------------------------------------
 
 
@@ -282,6 +317,41 @@ class TestAbelianization:
         for name in ["S3", "A4", "S4", "Q8", "D4", "D5", "D6", "C12", "A5", "C1"]:
             F = builtin_group(name)
             verify_abelianization(F, abelianization(F))
+
+    def test_elementary_abelian_2_7(self):
+        # 2^7 elements, every nonidentity one of order 2
+        n = 2 ** 7
+        F = FiniteGroup("Z2^7", [[x ^ y for y in range(n)] for x in range(n)])
+        start = time.perf_counter()
+        desc = abelianization(F)
+        assert time.perf_counter() - start < 1.0
+        assert desc.factors == (2,) * 7
+        verify_abelianization(F, desc)
+
+    @pytest.mark.parametrize("orders, factors", [
+        ((6, 4), (2, 12)), ((2, 4, 8), (2, 4, 8)), ((3, 3, 3), (3, 3, 3)),
+        ((4, 2), (2, 4)), ((9, 3, 2), (3, 18)), ((2, 2, 3, 5), (2, 30)),
+        ((5, 25), (5, 25)),
+    ])
+    def test_cyclic_products(self, orders, factors):
+        assert invariant_factors(orders) == factors
+        F = cyclic_product(orders)
+        desc = abelianization(F)
+        assert desc.factors == factors
+        verify_abelianization(F, desc)
+
+    def test_builtin_projections_pinned(self):
+        # the coordinates fix what stored coefficients mean, so they may not move
+        names = ([f"C{n}" for n in range(1, 61)] + [f"D{n}" for n in range(3, 41)]
+                 + ["S3", "A4", "S4", "Q8", "A5"])
+        rows = []
+        for name in names:
+            desc = abelianization(builtin_group(name))
+            rows.append([name, list(desc.factors), [list(p) for p in desc.proj]])
+        blob = json.dumps(rows, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "787859bbfd766d0d32f28aefbd5b2fec5060c6250458145842500351900cb965"
+        )
 
     def test_hom_counts(self):
         # homs into a big enough cyclic group count the abelian quotient
