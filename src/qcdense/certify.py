@@ -232,8 +232,8 @@ def witness_solenoid(
     else:
         # the fiber restriction pairs h with -a/b
         n, m, w = _tower_witness_core((-a) % b, b, primes)
-        member = SolenoidPoint(Fraction(-w))
-        if member not in seq.member_set:
+        member = seq.integer_members.get(-w)
+        if member is None:
             raise TruncationTooSmall(
                 f"witness needs truncation level {n - 1} with multiplier cap {m}",
                 needed=(n - 1, m),

@@ -67,12 +67,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the family options each sequence reads; giving any other is an error
+_FAMILY_FLAGS = {"N": "--N", "primes": "--primes", "n_max": "--n-max", "m_cap": "--m-cap"}
+_FAMILY_USES = {
+    "singleton": (),
+    "torus": ("N",),
+    "profinite": ("primes", "n_max", "m_cap"),
+    "solenoid": ("N", "primes", "n_max", "m_cap"),
+}
+
+
+def _reject_unused(args, family: str) -> None:
+    unused = [
+        flag
+        for dest, flag in _FAMILY_FLAGS.items()
+        if dest not in _FAMILY_USES[family] and getattr(args, dest) is not None
+    ]
+    if unused:
+        raise ValidationError(f"{family} sequences do not use {', '.join(unused)}")
+
+
 def _build_sequence(args):
     if args.command == "certify" and args.singleton is not None:
         if args.group != "torus":
             raise ValidationError("--singleton applies to the torus only")
+        _reject_unused(args, "singleton")
         return from_members(Torus(), [phi(args.singleton)], name="singleton")
     group = args.group
+    _reject_unused(args, group)
     if group == "torus":
         if args.N is None:
             raise ValidationError("torus sequences need --N")

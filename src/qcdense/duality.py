@@ -172,9 +172,10 @@ def eval_char(chi: Character, x: object) -> UnitRational:
             raise KindMismatch("solenoid character needs a solenoid point")
         if chi.q == 0:
             return ZERO
+        # a*r/b - a*(h mod b)/b over the common denominator b*rd, in integers
         a, b = chi.q.numerator, chi.q.denominator
-        val = chi.q * x.r - Fraction(a * residue_mod(x.h, b), b)
-        return UnitRational(val.numerator, val.denominator)
+        rn, rd = x.r.numerator, x.r.denominator
+        return UnitRational(a * (rn - residue_mod(x.h, b) * rd), b * rd)
     if k == "cyclic":
         if not isinstance(x, int):
             raise KindMismatch("cyclic character needs an integer residue")

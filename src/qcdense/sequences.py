@@ -70,13 +70,22 @@ class SuperSeq:
         return frozenset(self.members)
 
     @cached_property
-    def integer_members(self) -> dict[int, IntegerPoint]:
-        """The IntegerPoint members keyed by their value m.
+    def integer_members(self) -> dict[int, IntegerPoint | SolenoidPoint]:
+        """The members with an integer value, keyed by that integer.
 
-        Witness finders that compute a member's value look it up here and
-        get the sequence's own point back, without building one to hash.
+        Profinite points IntegerPoint(m) are keyed by m, and solenoid points
+        pi(j, 0) on the arc with integer j (the images pi(-w, 0) of tower
+        members) by j.  Witness finders that compute a member's value look
+        it up here and get the sequence's own point back, without building
+        one to hash.
         """
-        return {x.m: x for x in self.members if isinstance(x, IntegerPoint)}
+        out: dict[int, IntegerPoint | SolenoidPoint] = {}
+        for x in self.members:
+            if isinstance(x, IntegerPoint):
+                out[x.m] = x
+            elif isinstance(x, SolenoidPoint) and x.on_arc() and x.r.denominator == 1:
+                out[x.r.numerator] = x
+        return out
 
 
 def torus_sequence(N: int) -> SuperSeq:

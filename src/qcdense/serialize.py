@@ -269,10 +269,11 @@ def superseq_to_json(seq) -> dict:
     }
 
 
-def record_to_json(rec: WitnessRecord) -> dict:
+def record_to_json(rec: WitnessRecord, witness=None) -> dict:
+    """One record; witness, when given, is the already encoded rec.witness."""
     return {
         "character": char_to_json(rec.character),
-        "witness": element_to_json(rec.witness),
+        "witness": element_to_json(rec.witness) if witness is None else witness,
         "value": rational_to_json(rec.value),
         "in_tplus": rec.in_tplus,
         "method": rec.method,
@@ -280,6 +281,16 @@ def record_to_json(rec: WitnessRecord) -> dict:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
+    # witnesses recur across records (the solenoid at bound 200 has 48,926
+    # records and 621 distinct members), so each witness object is encoded
+    # once; the records keep every keyed object alive for the whole call
+    encoded: dict[int, object] = {}
+    records = []
+    for rec in cert.records:
+        witness = encoded.get(id(rec.witness))
+        if witness is None:
+            witness = encoded[id(rec.witness)] = element_to_json(rec.witness)
+        records.append(record_to_json(rec, witness))
     return {
         "group": group_to_json(cert.group),
         "sequence": sequence_spec_to_json(cert.sequence_spec),
@@ -290,7 +301,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "failed_character": (
             None if cert.failed_character is None else char_to_json(cert.failed_character)
         ),
-        "records": [record_to_json(r) for r in cert.records],
+        "records": records,
     }
 
 

@@ -268,6 +268,45 @@ class TestSolenoidWitness:
             assert not in_tplus(rec.value)
             assert eval_char(chi, rec.witness) == rec.value
 
+    def test_fiber_witness_is_the_sequences_own_member(self):
+        # -2 is reached both as 2*k_0 and as 1*k_1: one member, two derivations
+        s = solenoid_sequence(P235, 2, 5)
+        i = s.members.index(SolenoidPoint(Fraction(-2)))
+        assert s.index_meta[i] == ("profinite_image", ((0, 2), (1, 1)))
+        assert witness_solenoid(SolenoidChar(Fraction(1, 3)), s).witness is s.members[i]
+        for chi in enumerate_chars(Solenoid(P235), 6):
+            if chi.q.denominator >= 2:
+                rec = witness_solenoid(chi, s)
+                assert any(rec.witness is x for x in s.members)
+
+    @pytest.mark.parametrize(
+        "seq_args, expected",
+        [
+            (
+                (1, 3, 4),
+                [("4", 4), ("-4", 4), ("5", 5), ("-5", 5), ("1/5", (2, 2)),
+                 ("-1/5", (2, 2)), ("2/5", (2, 1)), ("-2/5", (2, 1)), ("3/5", (2, 1)),
+                 ("-3/5", (2, 1)), ("4/5", (2, 2)), ("-4/5", (2, 2)), ("6", 6),
+                 ("-6", 6), ("6/5", (2, 2)), ("-6/5", (2, 2))],
+            ),
+            (
+                (2, 6, 1),
+                [("1/5", (2, 2)), ("-1/5", (2, 2)), ("4/5", (2, 2)), ("-4/5", (2, 2)),
+                 ("6/5", (2, 2)), ("-6/5", (2, 2))],
+            ),
+        ],
+    )
+    def test_truncation_too_small_needed(self, seq_args, expected):
+        # an arc character needs the depth |a|, a fiber one (level, multiplier cap)
+        s = solenoid_sequence(P235, *seq_args)
+        missing = []
+        for chi in enumerate_chars(Solenoid(P235), 6):
+            try:
+                witness_solenoid(chi, s)
+            except TruncationTooSmall as exc:
+                missing.append((str(chi.q), exc.needed))
+        assert missing == expected
+
 
 class TestBruteForce:
     def test_finds_first_escaper(self):

@@ -224,6 +224,31 @@ class TestCertify:
         assert exc.value.code == 2
 
 
+class TestFamilyOptions:
+    """Options the chosen sequence family does not read are rejected."""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (("gen", "--group", "torus", "--N", "3", "--primes", "2,3", "--m-cap", "5"),
+             "--primes, --m-cap"),
+            (("gen", "--group", "profinite", "--primes", "2,3", "--n-max", "1", "--N", "7"),
+             "--N"),
+            (("certify", "--singleton", "1/8", "--N", "5", "--bound", "1",
+              "--mode", "generation"), "--N"),
+            (("gen", "--N", "3", "--n-max", "2"), "--n-max"),
+        ],
+        ids=["torus-primes-m-cap", "profinite-N", "singleton-N", "torus-n-max"],
+    )
+    def test_unused_family_option_rejected(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].endswith(f"do not use {flags}")
+
+
 class TestReport:
     def test_escapes_at_level_one(self, capsys):
         code, out, _ = run_cli(

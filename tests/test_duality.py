@@ -34,6 +34,7 @@ from qcdense.groups import (
     Torus,
     group_add,
     residues,
+    to_residues,
 )
 
 P235 = (2, 3, 5)
@@ -164,6 +165,53 @@ class TestEval:
         lhs = eval_char(chi, SolenoidPoint(r1 + r2))
         rhs = group_add(Torus(), eval_char(chi, x), eval_char(chi, y))
         assert lhs == rhs
+
+
+def _mod1(x: Fraction) -> Fraction:
+    return x - (x.numerator // x.denominator)
+
+
+def _solenoid_reference(q: Fraction, r: Fraction, m: int) -> Fraction:
+    # phi(q*r - a*(h mod b)/b) for the point pi(r, m*v), straight from the formula
+    a, b = q.numerator, q.denominator
+    return _mod1(q * r - Fraction(a * (m % b), b))
+
+
+_solenoid_q = st.builds(
+    Fraction, st.integers(min_value=-300, max_value=300), st.integers(min_value=1, max_value=300)
+)
+# denominators that the residue towers of to_residues(_, P235, 8) resolve
+_smooth_q = st.builds(
+    lambda a, i, j, k: Fraction(a, 2**i * 3**j * 5**k),
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=8),
+)
+# real parts with numerators of solenoid-member size as well as small ones
+_solenoid_r = st.builds(
+    Fraction,
+    st.one_of(
+        st.integers(min_value=-100, max_value=100),
+        st.integers(min_value=-(10**400), max_value=10**400),
+    ),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+class TestSolenoidEvalReference:
+    """The solenoid branch of eval_char against a Fraction evaluation of its formula."""
+
+    @given(_solenoid_q, _solenoid_r, st.integers(min_value=-(10**30), max_value=10**30))
+    def test_integer_fiber(self, q, r, m):
+        value = eval_char(SolenoidChar(q), SolenoidPoint(r, IntegerPoint(m)))
+        assert value.as_fraction() == _solenoid_reference(q, r, m)
+
+    @given(_smooth_q, _solenoid_r, st.integers(min_value=-(10**12), max_value=10**12))
+    def test_residue_tower_fiber(self, q, r, m):
+        point = SolenoidPoint(r, to_residues(IntegerPoint(m), P235, 8))
+        value = eval_char(SolenoidChar(q), point)
+        assert value.as_fraction() == _solenoid_reference(q, r, m)
 
 
 class TestTrivialAndComplexity:

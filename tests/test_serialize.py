@@ -317,12 +317,48 @@ class TestCanonical:
         assert canonical_dumps(certificate_to_json(back)) == text
 
 
+class TestWitnessEncoding:
+    """Each witness object is encoded once per call, never across calls."""
+
+    def test_records_carry_their_own_witness(self):
+        # each certificate is freed before the next: new members may reuse its ids
+        for args in ((2, 6), (1, 3, 4), (2, 6, 2)):
+            seq = solenoid_sequence(P235, *args)
+            cert = certify_qc(seq, seq.group, 6)
+            expected = [element_to_json(r.witness) for r in cert.records]
+            assert [r["witness"] for r in certificate_to_json(cert)["records"]] == expected
+            del seq, cert
+
+    def test_certificates_sharing_members(self):
+        seq = solenoid_sequence(P235, 2, 6)
+        qc, gen = certify_qc(seq, seq.group, 6), check_generation(seq, seq.group, 6)
+        # the fiber witnesses are the sequence's own members in both
+        fiber = [(a, b) for a, b in zip(qc.records, gen.records) if a.character.q.denominator > 1]
+        assert fiber and all(a.witness is b.witness for a, b in fiber)
+
+        def encode(cert):
+            return canonical_dumps(certificate_to_json(cert))
+
+        one_after_other = [encode(qc), encode(gen), encode(qc)]
+        fresh = solenoid_sequence(P235, 2, 6)
+        alone = [encode(certify_qc(fresh, fresh.group, 6)),
+                 encode(check_generation(fresh, fresh.group, 6))]
+        assert one_after_other == alone + alone[:1]
+
+
 # --- golden payload hashes ----------------------------------------------------------
 
 
 def _fan_cert(check):
     P = tuple(primes_below(100))
     seq = fan([solenoid_sequence(P, 24, 20, 8), profinite_sequence(P, 24, 8), torus_sequence(20)])
+    return check(seq, seq.group, 20)
+
+
+def _solenoid_cert(check):
+    # every character at bound 20 has a solenoid_split witness
+    P = tuple(primes_below(24))
+    seq = solenoid_sequence(P, 8, 20, 8)
     return check(seq, seq.group, 20)
 
 
@@ -350,6 +386,18 @@ GOLDEN = {
     "profinite brute fallback": (
         lambda: certify_qc(profinite_sequence(P235, 0), Profinite(P235), 5),
         "0400a6ff9e8e25b6a460ffabef4959776b27617e2ff662102d142a9d2442a53c",
+    ),
+    "solenoid qc": (
+        lambda: _solenoid_cert(certify_qc),
+        "c1cdd6d4cc0432f695a9d310859c74a1fcc17fba78315a755c2619edf9ceada5",
+    ),
+    "solenoid generation": (
+        lambda: _solenoid_cert(check_generation),
+        "73526b7c838e941833966e82ce22c72bf05901bdc520027ae03ec2ad4ccaf39c",
+    ),
+    "solenoid brute fallback": (
+        lambda: certify_qc(solenoid_sequence(P235, 1, 4, 2), Solenoid(P235), 5),
+        "f15c2c327c6189e19cfa0dcf9f4676d4c1344e254bd87d94a2379c5b86ba3019",
     ),
 }
 
