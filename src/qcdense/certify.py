@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from ._intmath import factorize
@@ -46,7 +45,6 @@ from .errors import (
 from .groups import (
     IntegerPoint,
     ProductElem,
-    SolenoidPoint,
     group_zero,
     in_Wn,
     k_sequence,
@@ -125,8 +123,8 @@ def witness_torus(chi: TorusChar | int, seq: SuperSeq) -> WitnessRecord:
     chi = TorusChar(chi) if isinstance(chi, int) else chi
     if chi.m == 0:
         raise ValidationError("trivial character has no witness")
-    member = UnitRational(1, 2 * abs(chi.m))
-    if member not in seq.member_set:
+    member = seq.reciprocal_members.get(2 * abs(chi.m))
+    if member is None:
         raise TruncationTooSmall(
             f"need the member 1/{2 * abs(chi.m)} in the truncation", needed=abs(chi.m)
         )
@@ -151,13 +149,36 @@ def minimal_level(b: int, primes: tuple[int, ...]) -> int:
     return n
 
 
-@lru_cache(maxsize=65536)
+# level data per denominator, one table per prime tuple: the tables amortize
+# factorization and the big-integer reduction across the phi(b) characters
+# sharing a denominator.  The tuple of the previous call is matched by
+# identity, so a sweep over one prime list never hashes it.  A table is
+# emptied when it holds _LEVEL_TABLE_SIZE entries, and all of them when a
+# new tuple would make _LEVEL_TABLES of them.
+_LEVEL_TABLE_SIZE = 65536
+_LEVEL_TABLES = 16
+_level_tables: dict[tuple[int, ...], dict[int, tuple[int, int, int]]] = {}
+_last_level_table: tuple[object, dict[int, tuple[int, int, int]]] = (None, {})
+
+
 def _level_data(b: int, primes: tuple[int, ...]) -> tuple[int, int, int]:
-    # amortizes factorization and the big-integer reduction across the
-    # phi(b) characters sharing a denominator
-    n = minimal_level(b, primes)
-    k_prev = k_sequence(primes, n - 1)
-    return n, k_prev, k_prev % b
+    global _last_level_table
+    last, table = _last_level_table
+    if primes is not last:
+        table = _level_tables.get(primes)
+        if table is None:
+            if len(_level_tables) >= _LEVEL_TABLES:
+                _level_tables.clear()
+            table = _level_tables[primes] = {}
+        _last_level_table = (primes, table)
+    data = table.get(b)
+    if data is None:
+        n = minimal_level(b, primes)
+        k_prev = k_sequence(primes, n - 1)
+        if len(table) >= _LEVEL_TABLE_SIZE:
+            table.clear()
+        data = table[b] = (n, k_prev, k_prev % b)
+    return data
 
 
 def _tower_witness_core(a: int, b: int, primes: tuple[int, ...]) -> tuple[int, int, int]:
@@ -224,8 +245,8 @@ def witness_solenoid(
         primes = seq.group.primes
     a, b = chi.q.numerator, chi.q.denominator
     if b == 1:
-        member = SolenoidPoint(Fraction(1, 2 * abs(a)))
-        if member not in seq.member_set:
+        member = seq.reciprocal_members.get(2 * abs(a))
+        if member is None:
             raise TruncationTooSmall(
                 f"need the arc member at 1/{2 * abs(a)}", needed=abs(a)
             )

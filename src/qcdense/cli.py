@@ -12,7 +12,7 @@ import json
 import sys
 from contextlib import nullcontext
 
-from . import __version__
+from . import __version__, serialize
 from ._intmath import primes_below
 from .certify import certify_qc, check_generation, escape_report
 from .circle import phi
@@ -114,10 +114,11 @@ def _build_sequence(args):
 def _emit(args, payload: dict, header_extra: dict) -> None:
     header = {"tool": "qcdense", "version": __version__, "command": args.command}
     header.update(header_extra)
-    # streamed, so the whole indented text is never built in memory
     stream = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with stream as fh:
-        json.dump({"header": header, "payload": payload}, fh, indent=2, sort_keys=True)
+        # looked up on the module, so the write stays in cli.main's own time
+        # (bench/README.md's cli.self_s)
+        serialize.dump_indented({"header": header, "payload": payload}, fh)
         fh.write("\n")
 
 

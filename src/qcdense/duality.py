@@ -266,13 +266,16 @@ def enumerate_chars(G, bound: int) -> list[Character]:
         return out
     if k == "solenoid":
         _check_prefix(G.primes, bound)
+        # generated in char_sort_key order: complexity c = max(|a|, b), then
+        # b, then |a|; below the diagonal b = c the numerator is c itself
         out = []
-        for b in range(1, bound + 1):
-            for a in range(1, bound + 1):
-                if gcd(a, b) == 1:
-                    out.append(SolenoidChar(Fraction(a, b)))
-                    out.append(SolenoidChar(Fraction(-a, b)))
-        return sorted(out, key=char_sort_key)
+        for c in range(1, bound + 1):
+            for b in range(1, c + 1):
+                for a in range(1, c + 1) if b == c else (c,):
+                    if gcd(a, b) == 1:
+                        out.append(SolenoidChar(Fraction(a, b)))
+                        out.append(SolenoidChar(Fraction(-a, b)))
+        return out
     if k == "cyclic":
         out = [
             CyclicChar(k_, G.n)

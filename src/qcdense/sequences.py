@@ -87,6 +87,22 @@ class SuperSeq:
                 out[x.r.numerator] = x
         return out
 
+    @cached_property
+    def reciprocal_members(self) -> dict[int, UnitRational | SolenoidPoint]:
+        """The members 1/d, keyed by d.
+
+        Circle points phi(1/d) and solenoid arc points pi(1/d, 0), such as
+        the halving members; the torus and integer-character finders look
+        their witness up here, as integer_members serves the tower members.
+        """
+        out: dict[int, UnitRational | SolenoidPoint] = {}
+        for x in self.members:
+            if isinstance(x, UnitRational) and x.num == 1:
+                out[x.den] = x
+            elif isinstance(x, SolenoidPoint) and x.on_arc() and x.r.numerator == 1:
+                out[x.r.denominator] = x
+        return out
+
 
 def torus_sequence(N: int) -> SuperSeq:
     """The circle members phi(1/(2n)) for 1 <= n <= N, converging to zero."""

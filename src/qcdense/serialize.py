@@ -8,7 +8,9 @@ Bounded integers (character parameters, levels, counts) stay as numbers.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .certify import Certificate, EscapeReport, WitnessRecord
 from .circle import UnitRational
@@ -38,6 +40,84 @@ from .groups import (
 def canonical_dumps(obj) -> str:
     """Stable byte-for-byte JSON text for a payload."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class _Shared(dict):
+    """A JSON object that several records hold; json treats it as a dict."""
+
+    __slots__ = ()
+
+
+def dump_indented(obj, fh) -> None:
+    """Write the bytes json.dump(obj, fh, indent=2, sort_keys=True) writes.
+
+    obj is made of dicts with str keys, lists, str, int, bool and None.
+    Dicts are streamed key by key and each list item is rendered in one
+    piece and written with one fh.write, so the whole text is never held.
+    The text of a _Shared value is rendered once per depth and reused; no
+    other value's text is kept.
+    """
+    shared: dict[tuple[int, int], str] = {}
+
+    def render(o, depth: int) -> str:
+        # str values, the most common, are encoded inline by their container
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            if type(o) is _Shared:
+                text = shared.get((id(o), depth))
+                if text is not None:
+                    return text
+            d = depth + 1
+            inner = "\n" + "  " * d
+            body = ("," + inner).join([
+                _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else render(v, d))
+                for k, v in sorted(o.items())
+            ])
+            text = "{" + inner + body + "\n" + "  " * depth + "}"
+            if type(o) is _Shared:
+                shared[(id(o), depth)] = text
+            return text
+        if isinstance(o, list):
+            if not o:
+                return "[]"
+            d = depth + 1
+            inner = "\n" + "  " * d
+            body = ("," + inner).join(
+                [_encode_str(v) if type(v) is str else render(v, d) for v in o]
+            )
+            return "[" + inner + body + "\n" + "  " * depth + "]"
+        if isinstance(o, str):
+            return _encode_str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def stream(o, depth: int) -> None:
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(o, dict) and o:
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                fh.write(sep + _encode_str(k) + ": ")
+                stream(v, depth + 1)
+                sep = "," + inner
+            fh.write("\n" + "  " * depth + "}")
+        elif isinstance(o, list) and o:
+            sep = "[" + inner
+            for v in o:
+                fh.write(sep + render(v, depth + 1))
+                sep = "," + inner
+            fh.write("\n" + "  " * depth + "]")
+        else:
+            fh.write(render(o, depth))
+
+    stream(obj, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +363,20 @@ def record_to_json(rec: WitnessRecord, witness=None) -> dict:
 def certificate_to_json(cert: Certificate) -> dict:
     # witnesses recur across records (the solenoid at bound 200 has 48,926
     # records and 621 distinct members), so each witness object is encoded
-    # once; the records keep every keyed object alive for the whole call
+    # once, and an object several records hold becomes a _Shared value that
+    # dump_indented renders once; the records keep every keyed object alive
+    # for the whole call
+    uses = Counter(id(rec.witness) for rec in cert.records)
     encoded: dict[int, object] = {}
     records = []
     for rec in cert.records:
-        witness = encoded.get(id(rec.witness))
+        key = id(rec.witness)
+        witness = encoded.get(key)
         if witness is None:
-            witness = encoded[id(rec.witness)] = element_to_json(rec.witness)
+            witness = element_to_json(rec.witness)
+            if uses[key] > 1 and isinstance(witness, dict):
+                witness = _Shared(witness)
+            encoded[key] = witness
         records.append(record_to_json(rec, witness))
     return {
         "group": group_to_json(cert.group),

@@ -4,6 +4,7 @@ Each test prints a single PASS line on success; pytest -v shows one
 verdict per criterion.  Performance budgets are asserted where stated.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -271,6 +272,13 @@ class TestAcceptance:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        # pinned across versions: the payload's bytes, from the top-level
+        # "payload" key to the end, as bench/run.py's payload_sha256 takes them
+        data = a.read_bytes()
+        payload = data[data.index(b'\n  "payload": '):]
+        assert hashlib.sha256(payload).hexdigest() == (
+            "9486864a587f0110837c75448f04c7574b4acd188bcf39fba48465a60d5a445f"
+        )
 
         g1, g2 = tmp_path / "g1.json", tmp_path / "g2.json"
         gen = ["gen", "--group", "profinite", "--primes", "2,3,5", "--n-max", "2"]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qcdense import certify, primes_below
 from qcdense.certify import (
     Certificate,
     EscapeReport,
@@ -147,6 +148,43 @@ class TestMinimalLevel:
         assert n == 0 or k_sequence(P235, n - 1) % b != 0
 
 
+class TestLevelData:
+    """Per-denominator level data, in one bounded table per prime tuple."""
+
+    def test_equal_tuples_share_a_table(self):
+        P, Q = (2, 3, 5, 7), tuple([2, 3, 5, 7])
+        assert P == Q and P is not Q
+        for b in (2, 9, 12, 35, 49):
+            n = minimal_level(b, P)
+            expected = (n, k_sequence(P, n - 1), k_sequence(P, n - 1) % b)
+            assert certify._level_data(b, P) == expected
+            tables = len(certify._level_tables)
+            assert certify._level_data(b, Q) == expected
+            assert len(certify._level_tables) == tables
+            last, table = certify._last_level_table
+            assert last is Q and table is certify._level_tables[P]
+
+    def test_tables_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(certify, "_LEVEL_TABLE_SIZE", 4)
+        monkeypatch.setattr(certify, "_LEVEL_TABLES", 2)
+        P = tuple(primes_below(30))
+        for b in range(2, 30):
+            certify._level_data(b, P)
+        assert len(certify._level_tables[P]) <= 4
+        for primes in ((2,), (2, 3), (2, 3, 5)):
+            certify._level_data(2, primes)
+            assert len(certify._level_tables) <= 2
+        # an emptied table recomputes the entry
+        n = minimal_level(12, P)
+        assert certify._level_data(12, P) == (n, k_sequence(P, n - 1), k_sequence(P, n - 1) % 12)
+
+    def test_foreign_prime_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(UnsupportedBound):
+                certify._level_data(7, P235)
+        assert 7 not in certify._level_tables.get(P235, {})
+
+
 # --- constructive witnesses --------------------------------------------------
 
 
@@ -177,6 +215,17 @@ class TestTorusWitness:
     def test_trivial_rejected(self):
         with pytest.raises(ValidationError):
             witness_torus(TorusChar(0), torus_sequence(3))
+
+    def test_witness_is_the_sequences_own_member(self):
+        s = torus_sequence(10)
+        for m in range(1, 11):
+            for chi in (TorusChar(m), TorusChar(-m)):
+                assert witness_torus(chi, s).witness is s.members[m - 1]
+        # any member list: 1/4 witnesses m = 2, and without 1/2 m = 1 has none
+        odd = from_members(Torus(), [phi("1/3"), phi("1/4")])
+        assert witness_torus(TorusChar(2), odd).witness is odd.members[1]
+        with pytest.raises(TruncationTooSmall):
+            witness_torus(TorusChar(1), odd)
 
 
 class TestProfiniteWitness:
@@ -267,6 +316,13 @@ class TestSolenoidWitness:
             rec = witness_solenoid(chi, s)
             assert not in_tplus(rec.value)
             assert eval_char(chi, rec.witness) == rec.value
+
+    def test_arc_witness_is_the_sequences_own_member(self):
+        s = solenoid_sequence(P235, 1, 10)
+        arc = {x.r.denominator: x for x in s.members if x.r.numerator == 1}
+        for a in range(1, 11):
+            for q in (Fraction(a), Fraction(-a)):
+                assert witness_solenoid(SolenoidChar(q), s).witness is arc[2 * a]
 
     def test_fiber_witness_is_the_sequences_own_member(self):
         # -2 is reached both as 2*k_0 and as 1*k_1: one member, two derivations

@@ -1,13 +1,20 @@
 """Command line contract: payload shapes, exit codes, error reporting."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from qcdense import __version__
+from qcdense import __version__, primes_below
+from qcdense.certify import certify_qc, check_generation, escape_report
+from qcdense.circle import phi
 from qcdense.cli import main
+from qcdense.groups import Torus
+from qcdense.nonabelian import builtin_group, certify_qc_with_finite_factor
+from qcdense.sequences import from_members, profinite_sequence, solenoid_sequence, torus_sequence
+from qcdense.serialize import certificate_to_json, escape_report_to_json, superseq_to_json
 
 
 def run_cli(capsys, *argv):
@@ -297,3 +304,68 @@ class TestEntryPoint:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == __version__
+
+
+def _certificate(cert):
+    return certificate_to_json(cert), {"mode": cert.mode}
+
+
+def _qc(seq, bound):
+    return _certificate(certify_qc(seq, seq.group, bound))
+
+
+# the README's examples, each with its envelope's payload and header fields
+# built through the library
+README_EXAMPLES = {
+    "gen solenoid": (
+        "gen --group solenoid --primes 2,3,5 --n-max 0 --N 1",
+        lambda: (superseq_to_json(solenoid_sequence((2, 3, 5), 0, 1)), {}),
+    ),
+    "certify torus": (
+        "certify --group torus --N 10000 --bound 10000",
+        lambda: _qc(torus_sequence(10000), 10000),
+    ),
+    "certify profinite": (
+        "certify --group profinite --primes below:100 --n-max 24 --m-cap 2600 --bound 100",
+        lambda: _qc(profinite_sequence(tuple(primes_below(100)), 24, 2600), 100),
+    ),
+    "certify singleton": (
+        "certify --singleton 1/3 --bound 3",
+        lambda: _qc(from_members(Torus(), [phi("1/3")], name="singleton"), 3),
+    ),
+    "certify generation": (
+        "certify --group torus --N 100 --bound 50 --mode generation",
+        lambda: _certificate(check_generation(torus_sequence(100), Torus(), 50)),
+    ),
+    "certify A5": (
+        "certify --group torus --N 100 --bound 50 --finite-factor A5",
+        lambda: _certificate(
+            certify_qc_with_finite_factor(torus_sequence(100), builtin_group("A5"), 50)
+        ),
+    ),
+    "report": (
+        "report --group profinite --primes 2,3,5,7 --n-max 3 --m-cap 27000 --wn 2",
+        lambda: (
+            escape_report_to_json(escape_report(profinite_sequence((2, 3, 5, 7), 3, 27000), 2)),
+            {},
+        ),
+    ),
+}
+
+
+class TestOutputBytes:
+    """--out holds json.dump(envelope, indent=2, sort_keys=True) and a newline."""
+
+    @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+    def test_readme_example(self, capsys, tmp_path, name):
+        command, build = README_EXAMPLES[name]
+        argv = command.split()
+        target = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (out, err) == ("", "")
+        assert code == (1 if name == "certify singleton" else 0)
+        payload, extra = build()
+        header = {"tool": "qcdense", "version": __version__, "command": argv[0], **extra}
+        fh = io.StringIO()
+        json.dump({"header": header, "payload": payload}, fh, indent=2, sort_keys=True)
+        assert target.read_bytes() == (fh.getvalue() + "\n").encode("ascii")

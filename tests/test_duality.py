@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from qcdense._intmath import primes_below
 from qcdense.circle import UnitRational, phi
 from qcdense.duality import (
     CyclicChar,
@@ -252,8 +253,6 @@ class TestEnumeration:
         assert set(enumerate_chars(G, 6)) == oracle_profinite_chars(6, P235)
 
     def test_profinite_completeness_wide_prefix(self):
-        from qcdense._intmath import primes_below
-
         P = tuple(primes_below(32))
         got = set(enumerate_chars(Profinite(P), 32))
         assert got == oracle_profinite_chars(32, P)
@@ -269,6 +268,19 @@ class TestEnumeration:
     def test_solenoid_completeness(self):
         G = Solenoid(P235)
         assert set(enumerate_chars(G, 5)) == oracle_solenoid_chars(5)
+
+    @pytest.mark.parametrize("bound", list(range(1, 61)) + [200])
+    def test_solenoid_order_is_the_sort_key(self, bound):
+        # every a/b with 1 <= |a|, b <= bound, sorted: enumeration must emit it as is
+        reference = [
+            SolenoidChar(Fraction(s * a, b))
+            for b in range(1, bound + 1)
+            for a in range(1, bound + 1)
+            if gcd(a, b) == 1
+            for s in (1, -1)
+        ]
+        G = Solenoid(tuple(primes_below(max(bound + 1, 3))))
+        assert enumerate_chars(G, bound) == sorted(reference, key=char_sort_key)
 
     def test_solenoid_integer_chars_present(self):
         out = enumerate_chars(Solenoid(P235), 3)

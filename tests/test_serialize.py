@@ -1,10 +1,12 @@
 """JSON round trips, the decimal-string policy, canonical payload bytes."""
 
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcdense import primes_below
 from qcdense.certify import certify_qc, check_generation, escape_report
@@ -40,11 +42,13 @@ from qcdense.sequences import (
     torus_sequence,
 )
 from qcdense.serialize import (
+    _Shared,
     canonical_dumps,
     certificate_from_json,
     certificate_to_json,
     char_from_json,
     char_to_json,
+    dump_indented,
     element_from_json,
     element_to_json,
     escape_report_to_json,
@@ -344,6 +348,138 @@ class TestWitnessEncoding:
         alone = [encode(certify_qc(fresh, fresh.group, 6)),
                  encode(check_generation(fresh, fresh.group, 6))]
         assert one_after_other == alone + alone[:1]
+
+
+# --- indented writer ----------------------------------------------------------
+
+
+def _json_dump(obj) -> str:
+    fh = io.StringIO()
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    return fh.getvalue()
+
+
+def _dump_indented(obj) -> str:
+    fh = io.StringIO()
+    dump_indented(obj, fh)
+    return fh.getvalue()
+
+
+_TEXT = (
+    st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+    | st.text(st.characters(min_codepoint=0x7F, max_codepoint=0x10FFFF))
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.sampled_from([0, 1, True, False])
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_TEXT, children, max_size=5),
+    max_leaves=25,
+)
+
+
+class _CountingDict(dict):
+    """A dict that counts how often its items are read, that is, rendered."""
+
+    def items(self):
+        self.reads = getattr(self, "reads", 0) + 1
+        return super().items()
+
+
+class TestDumpIndented:
+    """dump_indented writes the bytes of json.dump(indent=2, sort_keys=True)."""
+
+    @given(_VALUES)
+    def test_matches_json_dump(self, value):
+        assert _dump_indented(value) == _json_dump(value)
+
+    @given(st.dictionaries(_TEXT, _VALUES, max_size=4), _VALUES, st.integers(2, 40))
+    def test_shared_value_at_two_depths(self, content, other, times):
+        shared = _Shared(content)
+        doc = {"a": shared, "b": [shared] * times + [other, {"c": [shared, shared]}]}
+        assert _dump_indented(doc) == _json_dump(doc)
+        assert _dump_indented([shared, doc, shared]) == _json_dump([shared, doc, shared])
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], [{}], {"": []}, None, True, 1, -(10**200), "é\u2028\x00\ud800",
+         [True, 1, 0, False]],
+    )
+    def test_edge_values(self, value):
+        assert _dump_indented(value) == _json_dump(value)
+
+    def test_only_shared_values_are_kept(self):
+        # a shared value is rendered once per depth; any other dict each time it occurs
+        inner, plain = _CountingDict(x=1), _CountingDict(y=2)
+        shared = _Shared(inner=inner)
+        doc = {"records": [{"w": shared, "p": plain} for _ in range(50)], "top": shared}
+        text = _dump_indented(doc)
+        # rendered once for the 50 records, and streamed once under "top"
+        assert inner.reads == 2
+        assert plain.reads == 50
+        assert text == _json_dump(doc)
+
+    def test_writes_one_piece_per_list_item(self):
+        records = [{"k": i, "v": [i, str(i)]} for i in range(10)]
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+        dump_indented({"records": records}, Sink())
+        assert "".join(writes) == _json_dump({"records": records})
+        items = [json.dumps(r, indent=2, sort_keys=True).replace("\n", "\n    ") for r in records]
+        assert [w for w in writes if '"k"' in w] == [
+            ("[" if i == 0 else ",") + "\n    " + item for i, item in enumerate(items)
+        ]
+
+    def test_rejects_other_types(self):
+        for value in (1.5, (1, 2), {"a": Fraction(1, 2)}, [object()]):
+            with pytest.raises(TypeError):
+                _dump_indented(value)
+
+
+class TestSharedWitnesses:
+    """certificate_to_json marks exactly the witness values several records hold."""
+
+    @staticmethod
+    def _dicts(value):
+        if isinstance(value, dict):
+            yield value
+            for v in value.values():
+                yield from TestSharedWitnesses._dicts(v)
+        elif isinstance(value, list):
+            for v in value:
+                yield from TestSharedWitnesses._dicts(v)
+
+    def test_solenoid(self):
+        seq = solenoid_sequence(tuple(primes_below(24)), 8, 20, 8)
+        cert = certify_qc(seq, seq.group, 20)
+        payload = certificate_to_json(cert)
+        uses = {}
+        for rec in cert.records:
+            uses[id(rec.witness)] = uses.get(id(rec.witness), 0) + 1
+        marked = {id(d) for d in self._dicts(payload) if type(d) is _Shared}
+        expected = set()
+        for rec, r in zip(cert.records, payload["records"]):
+            assert (type(r["witness"]) is _Shared) == (uses[id(rec.witness)] > 1)
+            if uses[id(rec.witness)] > 1:
+                expected.add(id(r["witness"]))
+        assert marked == expected
+        assert len(marked) == len({r.witness for r in cert.records if uses[id(r.witness)] > 1})
+        assert all(type(d) in (dict, _Shared) for d in self._dicts(payload))
+
+    def test_finite_factor_marks_nothing(self):
+        cert = certify_qc_with_finite_factor(torus_sequence(30), builtin_group("A5"), 30)
+        assert not any(type(d) is _Shared for d in self._dicts(certificate_to_json(cert)))
 
 
 # --- golden payload hashes ----------------------------------------------------------
