@@ -6,14 +6,12 @@ closed quarter arc around zero.  Everything here runs in exact rational
 arithmetic and produces per-character witness certificates.
 """
 
-from ._intmath import crt, factorize, is_prime, primes_below
+from ._intmath import factorize, is_prime, primes_below
 from .circle import UnitRational, ZERO, circle_add, circle_neg, circle_scale, in_tplus, phi
 from .errors import (
     IndexOutOfRange,
-    InsufficientPrecision,
     InvariantViolation,
     KindMismatch,
-    PrecisionMismatch,
     QcdenseError,
     SizeLimit,
     TruncationTooSmall,
@@ -27,22 +25,13 @@ from .groups import (
     ProductElem,
     ProductWithFinite,
     Profinite,
-    Residues,
     Solenoid,
     SolenoidPoint,
     Torus,
-    check_elem,
-    group_add,
-    group_equal,
-    group_neg,
-    group_scale,
     group_zero,
     in_Wn,
-    is_zero,
     k_sequence,
     residue_mod,
-    residues,
-    to_residues,
 )
 from .duality import (
     CyclicChar,
@@ -64,9 +53,7 @@ from .sequences import (
     DropFiniteFactor,
     ProductProjection,
     SolenoidToTorus,
-    SuitableSet,
     SuperSeq,
-    extract_suitable,
     fan,
     from_members,
     profinite_sequence,

@@ -1,8 +1,8 @@
-"""Small integer-theoretic helpers: sieves, factorization, CRT."""
+"""Small integer-theoretic helpers: sieves, primality, factorization."""
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 
 def primes_below(bound: int) -> tuple[int, ...]:
@@ -50,21 +50,3 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine x = r1 mod m1 and x = r2 mod m2 for coprime moduli."""
-    if gcd(m1, m2) != 1:
-        raise ValueError("crt_pair needs coprime moduli")
-    # inverse of m1 mod m2 via Python's builtin modular inverse
-    t = pow(m1, -1, m2)
-    x = (r1 + (r2 - r1) * t % m2 * m1) % (m1 * m2)
-    return x, m1 * m2
-
-
-def crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine a list of (residue, modulus) congruences, coprime moduli."""
-    r, m = 0, 1
-    for r2, m2 in pairs:
-        r, m = crt_pair(r, m, r2 % m2, m2)
-    return r, m

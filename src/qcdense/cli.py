@@ -17,7 +17,7 @@ from ._intmath import primes_below
 from .certify import certify_qc, check_generation, escape_report
 from .circle import phi
 from .errors import QcdenseError, ValidationError
-from .groups import Profinite, Solenoid, Torus
+from .groups import Torus
 from .nonabelian import builtin_group, certify_qc_with_finite_factor
 from .sequences import from_members, profinite_sequence, solenoid_sequence, torus_sequence
 from .serialize import (

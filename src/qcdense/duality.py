@@ -26,13 +26,7 @@ from math import gcd, lcm
 from ._intmath import primes_below
 from .circle import ZERO, UnitRational, circle_add, in_tplus
 from .errors import KindMismatch, UnsupportedBound
-from .groups import (
-    IntegerPoint,
-    ProductElem,
-    Residues,
-    SolenoidPoint,
-    residue_mod,
-)
+from .groups import IntegerPoint, ProductElem, SolenoidPoint, residue_mod
 
 PRODUCT_ENUMERATION_LIMIT = 2_000_000
 
@@ -161,7 +155,7 @@ def eval_char(chi: Character, x: object) -> UnitRational:
             raise KindMismatch("torus character needs a circle element")
         return UnitRational(chi.m * x.num, x.den)
     if k == "profinite":
-        if not isinstance(x, (IntegerPoint, Residues)):
+        if not isinstance(x, IntegerPoint):
             raise KindMismatch("profinite character needs a profinite element")
         a, b = chi.q.num, chi.q.den
         if a == 0:
@@ -172,10 +166,11 @@ def eval_char(chi: Character, x: object) -> UnitRational:
             raise KindMismatch("solenoid character needs a solenoid point")
         if chi.q == 0:
             return ZERO
-        # a*r/b - a*(h mod b)/b over the common denominator b*rd, in integers
+        # a*r/b over the common denominator b*rd, in integers; the fiber
+        # term a*(h mod b)/b is zero, since h is folded into r
         a, b = chi.q.numerator, chi.q.denominator
         rn, rd = x.r.numerator, x.r.denominator
-        return UnitRational(a * (rn - residue_mod(x.h, b) * rd), b * rd)
+        return UnitRational(a * rn, b * rd)
     if k == "cyclic":
         if not isinstance(x, int):
             raise KindMismatch("cyclic character needs an integer residue")

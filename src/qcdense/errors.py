@@ -15,19 +15,6 @@ class IndexOutOfRange(QcdenseError):
     """A tower or prime-list index exceeds what the data provides."""
 
 
-class PrecisionMismatch(QcdenseError):
-    """Residue towers disagree in a way that truncation cannot reconcile."""
-
-
-class InsufficientPrecision(QcdenseError):
-    """A query needs more residue precision than the element carries."""
-
-    def __init__(self, prime: int, needed: int, message: str | None = None):
-        self.prime = prime
-        self.needed = needed
-        super().__init__(message or f"need exponent {needed} at prime {prime}")
-
-
 class UnsupportedBound(QcdenseError):
     """A certification bound reaches characters the group data cannot express."""
 

@@ -7,8 +7,9 @@ product of an abelian group with a finite (possibly non-abelian) group.
 
 The profinite group H is conceptually the full product over its prime list;
 an IntegerPoint(m) is the dense-subgroup element m*v where v has every
-coordinate 1.  Residues elements carry only finitely much information per
-prime and queries beyond that precision raise instead of guessing.
+coordinate 1.  Every element is exact: circle points and solenoid real
+parts are rationals, profinite points and cyclic residues are integers, and
+product elements are tuples of these.
 """
 
 from __future__ import annotations
@@ -16,19 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from ._intmath import crt, factorize, is_prime
-from .circle import UnitRational, circle_add, circle_neg
-from .errors import (
-    IndexOutOfRange,
-    InsufficientPrecision,
-    KindMismatch,
-    PrecisionMismatch,
-    ValidationError,
-)
-
-DEFAULT_PRECISION = 8
+from ._intmath import is_prime
+from .circle import UnitRational
+from .errors import IndexOutOfRange, KindMismatch, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -111,114 +103,11 @@ class IntegerPoint:
     m: int
 
 
-@dataclass(frozen=True)
-class Residues:
-    """Finite-precision element: per prime a residue mod prime**exponent.
-
-    entries are (prime, residue, exponent) triples sorted by prime.  The
-    truncated flag records that some ancestor operation dropped precision.
-    """
-
-    entries: tuple[tuple[int, int, int], ...]
-    truncated: bool = False
-
-    def tower(self) -> dict[int, tuple[int, int]]:
-        return {p: (r, e) for p, r, e in self.entries}
-
-
-def residues(mapping: dict[int, tuple[int, int]], truncated: bool = False) -> Residues:
-    """Normalize a {prime: (residue, exponent)} map into a Residues element."""
-    entries = []
-    for p in sorted(mapping):
-        r, e = mapping[p]
-        if e < 1:
-            raise ValidationError("residue exponent must be >= 1")
-        entries.append((p, r % p**e, e))
-    return Residues(tuple(entries), truncated)
-
-
-def to_residues(h: IntegerPoint, primes: tuple[int, ...], exponent: int = DEFAULT_PRECISION) -> Residues:
-    return residues({p: (h.m % p**exponent, exponent) for p in primes})
-
-
-ProfiniteElem = object  # IntegerPoint | Residues
-
-
-def _coerce_tower(m: int, template: Residues) -> Residues:
-    return Residues(tuple((p, m % p**e, e) for p, _, e in template.entries), template.truncated)
-
-
-def _combine_residues(a: Residues, b: Residues, sign: int) -> Residues:
-    ta, tb = a.tower(), b.tower()
-    if set(ta) != set(tb):
-        raise PrecisionMismatch(
-            f"residue towers cover different primes: {sorted(ta)} vs {sorted(tb)}"
-        )
-    truncated = a.truncated or b.truncated
-    entries = []
-    for p in sorted(ta):
-        ra, ea = ta[p]
-        rb, eb = tb[p]
-        e = min(ea, eb)
-        if ea != eb:
-            truncated = True
-        entries.append((p, (ra + sign * rb) % p**e, e))
-    return Residues(tuple(entries), truncated)
-
-
-def profinite_add(x: ProfiniteElem, y: ProfiniteElem) -> ProfiniteElem:
-    if isinstance(x, IntegerPoint) and isinstance(y, IntegerPoint):
-        return IntegerPoint(x.m + y.m)
-    if isinstance(x, IntegerPoint):
-        return _combine_residues(_coerce_tower(x.m, y), y, 1)
-    if isinstance(y, IntegerPoint):
-        return _combine_residues(x, _coerce_tower(y.m, x), 1)
-    return _combine_residues(x, y, 1)
-
-
-def profinite_neg(x: ProfiniteElem) -> ProfiniteElem:
-    if isinstance(x, IntegerPoint):
-        return IntegerPoint(-x.m)
-    return Residues(tuple((p, (-r) % p**e, e) for p, r, e in x.entries), x.truncated)
-
-
-def profinite_equal(x: ProfiniteElem, y: ProfiniteElem) -> bool:
-    """Equality, within the shared precision for Residues operands."""
-    if isinstance(x, IntegerPoint) and isinstance(y, IntegerPoint):
-        return x.m == y.m
-    diff = profinite_add(x, profinite_neg(y))
-    return all(r == 0 for _, r, _ in diff.entries)
-
-
-def profinite_is_zero(x: ProfiniteElem) -> bool:
-    if isinstance(x, IntegerPoint):
-        return x.m == 0
-    return all(r == 0 for _, r, _ in x.entries)
-
-
-def residue_mod(h: ProfiniteElem, b: int) -> int:
-    """The residue of h modulo b, i.e. the image of h in Z/b.
-
-    For b whose prime factorization is contained in the element's tower the
-    answer combines per-prime residues by CRT; integer points are exact for
-    every b.
-    """
+def residue_mod(h: IntegerPoint, b: int) -> int:
+    """The residue of h modulo b, i.e. the image of h in Z/b."""
     if b < 1:
         raise ValidationError("modulus must be positive")
-    if b == 1:
-        return 0
-    if isinstance(h, IntegerPoint):
-        return h.m % b
-    tower = h.tower()
-    pairs = []
-    for p, e in factorize(b).items():
-        if p not in tower:
-            raise InsufficientPrecision(p, e)
-        r, avail = tower[p]
-        if avail < e:
-            raise InsufficientPrecision(p, e)
-        pairs.append((r % p**e, p**e))
-    return crt(pairs)[0]
+    return h.m % b
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +129,13 @@ def k_sequence(primes: tuple[int, ...], n: int) -> int:
     return prod**n
 
 
-def in_Wn(h: ProfiniteElem, primes: tuple[int, ...], n: int) -> bool:
+def in_Wn(h: IntegerPoint, primes: tuple[int, ...], n: int) -> bool:
     """Whether h lies in W_n = k_n * H, i.e. p-adic valuation >= n below n."""
     if n < 0:
         raise IndexOutOfRange("W index must be nonnegative")
-    if n == 0:
-        return True
     if n > len(primes):
         raise IndexOutOfRange(f"W_{n} needs {n} primes, have {len(primes)}")
-    if isinstance(h, IntegerPoint):
-        return all(h.m % p**n == 0 for p in primes[:n])
-    tower = h.tower()
-    for p in primes[:n]:
-        if p not in tower:
-            raise InsufficientPrecision(p, n)
-        r, e = tower[p]
-        if e < n:
-            raise InsufficientPrecision(p, n)
-        if r % p**n != 0:
-            return False
-    return True
+    return all(h.m % p**n == 0 for p in primes[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -269,66 +145,40 @@ def in_Wn(h: ProfiniteElem, primes: tuple[int, ...], n: int) -> bool:
 class SolenoidPoint:
     """A point pi(r, h) of (R x H)/<(1, v)>, r an exact rational.
 
-    Construction with h an IntegerPoint(m) shifts by m*(1, v) so the stored
-    form is pi(r - m, 0); such points compare by their exact real part.  The
-    real part is reduced mod 1 for display only, the stored value feeds the
-    character pairing.
+    Construction with h an IntegerPoint(m) shifts by m*(1, v), so the stored
+    form is pi(r - m, 0): only r is kept, h always reads IntegerPoint(0), and
+    points compare by their exact real part.  The real part is reduced mod 1
+    for display only, the stored value feeds the character pairing.
     """
 
-    __slots__ = ("r", "h")
+    __slots__ = ("r",)
+    # one shared fiber for every point; the JSON encoding still writes it
+    h = IntegerPoint(0)
 
-    def __init__(self, r: Fraction | int, h: ProfiniteElem | None = None):
-        if h is None:
-            h = IntegerPoint(0)
+    def __init__(self, r: Fraction | int, h: IntegerPoint | None = None):
         r = Fraction(r)
-        if isinstance(h, IntegerPoint):
-            r = r - h.m
-            h = IntegerPoint(0)
+        if h is not None:
+            if not isinstance(h, IntegerPoint):
+                raise KindMismatch(f"solenoid fiber must be an IntegerPoint, got {h!r}")
+            r -= h.m
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "h", h)
 
     def __setattr__(self, name, value):
         raise AttributeError("SolenoidPoint is immutable")
 
-    def on_arc(self) -> bool:
-        return isinstance(self.h, IntegerPoint)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SolenoidPoint):
             return NotImplemented
-        a, b = self.h, other.h
-        if isinstance(a, IntegerPoint) != isinstance(b, IntegerPoint):
-            # an exact fiber point never equals a truncated tower: claiming
-            # equality would assert more than the tower's precision knows
-            return False
-        if isinstance(a, IntegerPoint):
-            # canonical form folds the fiber into r, so r decides
-            return self.r == other.r
-        j = self.r - other.r
-        if j.denominator != 1:
-            return False
-        # (r1,h1) - (r2,h2) must equal j*(1,v)
-        return profinite_equal(profinite_add(a, profinite_neg(b)), IntegerPoint(int(j)))
+        return self.r == other.r
 
     def __hash__(self) -> int:
-        if isinstance(self.h, IntegerPoint):
-            return hash(("solenoid", self.r))
-        # truncated towers only keep the u-shift invariant fractional part
-        return hash(("solenoid", self.r - (self.r // 1)))
+        return hash(("solenoid", self.r))
 
     def __repr__(self) -> str:
-        return f"SolenoidPoint({self.r!r}, {self.h!r})"
+        return f"SolenoidPoint({self.r!r})"
 
     def display_r(self) -> Fraction:
         return self.r - (self.r // 1)
-
-
-def solenoid_add(x: SolenoidPoint, y: SolenoidPoint) -> SolenoidPoint:
-    return SolenoidPoint(x.r + y.r, profinite_add(x.h, y.h))
-
-
-def solenoid_neg(x: SolenoidPoint) -> SolenoidPoint:
-    return SolenoidPoint(-x.r, profinite_neg(x.h))
 
 
 # ---------------------------------------------------------------------------
@@ -361,128 +211,19 @@ def group_zero(G: GroupDesc) -> object:
     raise KindMismatch(f"unknown group kind {k!r}")
 
 
-_ELEM_TYPES = {
-    "torus": UnitRational,
-    "profinite": (IntegerPoint, Residues),
-    "solenoid": SolenoidPoint,
-    "cyclic": int,
-    "product": ProductElem,
-    "product_with_finite": ProductElem,
-}
-
-
-def check_elem(G: GroupDesc, x: object) -> None:
-    """Raise KindMismatch when x is not an element shape for G."""
-    expected = _ELEM_TYPES.get(G.kind)
-    if expected is None:
-        raise KindMismatch(f"unknown group kind {G.kind!r}")
-    if isinstance(x, bool) or not isinstance(x, expected):
-        raise KindMismatch(
-            f"{type(x).__name__} is not an element of a {G.kind} group"
-        )
-    if G.kind == "product":
-        if len(x.coords) != len(G.factors):
-            raise KindMismatch("tuple length does not match the product arity")
-        for f, c in zip(G.factors, x.coords):
-            check_elem(f, c)
-    elif G.kind == "product_with_finite":
-        if len(x.coords) != 2:
-            raise KindMismatch("expected an (abelian, finite) pair")
-        check_elem(G.abelian, x.coords[0])
-        fin = x.coords[1]
-        if isinstance(fin, bool) or not isinstance(fin, int) or not 0 <= fin < G.finite.order:
-            raise KindMismatch("finite coordinate must be an element index")
-
-
-def group_add(G: GroupDesc, x: object, y: object) -> object:
-    check_elem(G, x)
-    check_elem(G, y)
-    k = G.kind
-    if k == "torus":
-        return circle_add(x, y)
-    if k == "profinite":
-        return profinite_add(x, y)
-    if k == "solenoid":
-        return solenoid_add(x, y)
-    if k == "cyclic":
-        return (x + y) % G.n
-    if k == "product":
-        return ProductElem(
-            tuple(group_add(f, a, b) for f, a, b in zip(G.factors, x.coords, y.coords))
-        )
-    if k == "product_with_finite":
-        return ProductElem(
-            (group_add(G.abelian, x.coords[0], y.coords[0]), G.finite.mul(x.coords[1], y.coords[1]))
-        )
-    raise KindMismatch(f"unknown group kind {k!r}")
-
-
-def group_neg(G: GroupDesc, x: object) -> object:
-    check_elem(G, x)
-    k = G.kind
-    if k == "torus":
-        return circle_neg(x)
-    if k == "profinite":
-        return profinite_neg(x)
-    if k == "solenoid":
-        return solenoid_neg(x)
-    if k == "cyclic":
-        return (-x) % G.n
-    if k == "product":
-        return ProductElem(tuple(group_neg(f, a) for f, a in zip(G.factors, x.coords)))
-    if k == "product_with_finite":
-        return ProductElem((group_neg(G.abelian, x.coords[0]), G.finite.inv(x.coords[1])))
-    raise KindMismatch(f"unknown group kind {k!r}")
-
-
-def group_scale(G: GroupDesc, n: int, x: object) -> object:
-    if n < 0:
-        return group_neg(G, group_scale(G, -n, x))
-    acc = group_zero(G)
-    add = x
-    while n:
-        if n & 1:
-            acc = group_add(G, acc, add)
-        n >>= 1
-        if n:
-            add = group_add(G, add, add)
-    return acc
-
-
-def group_equal(G: GroupDesc, x: object, y: object) -> bool:
-    check_elem(G, x)
-    check_elem(G, y)
-    k = G.kind
-    if k == "profinite":
-        return profinite_equal(x, y)
-    if k == "product":
-        return all(
-            group_equal(f, a, b) for f, a, b in zip(G.factors, x.coords, y.coords)
-        )
-    if k == "product_with_finite":
-        return group_equal(G.abelian, x.coords[0], y.coords[0]) and x.coords[1] == y.coords[1]
-    return x == y
-
-
-def is_zero(G: GroupDesc, x: object) -> bool:
-    return group_equal(G, x, group_zero(G))
-
-
 def arc_flag(G: GroupDesc, x: object) -> bool:
     """Whether x lies on the arc component of the identity.
 
     The circle is connected, so every point qualifies; profinite and cyclic
-    groups are totally disconnected, only zero qualifies; a solenoid point
-    qualifies exactly when its canonical form is pi(t, 0); products go
+    groups are totally disconnected, only zero qualifies; every solenoid
+    point has the canonical form pi(t, 0), on the arc; products go
     componentwise.
     """
     k = G.kind
-    if k == "torus":
+    if k in ("torus", "solenoid"):
         return True
     if k == "profinite":
-        return profinite_is_zero(x)
-    if k == "solenoid":
-        return x.on_arc()
+        return x.m == 0
     if k == "cyclic":
         return x % G.n == 0
     if k == "product":

@@ -30,12 +30,10 @@ from .groups import (
     Product,
     ProductElem,
     Profinite,
-    ProductWithFinite,
     Solenoid,
     SolenoidPoint,
     Torus,
     arc_flag,
-    group_equal,
     group_zero,
     k_sequence,
 )
@@ -83,7 +81,7 @@ class SuperSeq:
         for x in self.members:
             if isinstance(x, IntegerPoint):
                 out[x.m] = x
-            elif isinstance(x, SolenoidPoint) and x.on_arc() and x.r.denominator == 1:
+            elif isinstance(x, SolenoidPoint) and x.r.denominator == 1:
                 out[x.r.numerator] = x
         return out
 
@@ -99,7 +97,7 @@ class SuperSeq:
         for x in self.members:
             if isinstance(x, UnitRational) and x.num == 1:
                 out[x.den] = x
-            elif isinstance(x, SolenoidPoint) and x.on_arc() and x.r.numerator == 1:
+            elif isinstance(x, SolenoidPoint) and x.r.numerator == 1:
                 out[x.r.denominator] = x
         return out
 
@@ -330,7 +328,7 @@ def pushforward(seq: SuperSeq, map_desc) -> SuperSeq:
     order: list[object] = []
     for x, m in zip(seq.members, seq.index_meta):
         _, y = _apply_map(map_desc, seq.group, x)
-        if group_equal(imageG, y, image_limit):
+        if y == image_limit:
             continue
         if y in seen:
             seen[y].append(m)
@@ -351,21 +349,3 @@ def pushforward(seq: SuperSeq, map_desc) -> SuperSeq:
             ("source", (seq.generator, seq.params)),
         ),
     )
-
-
-@dataclass(frozen=True)
-class SuitableSet:
-    """A finite extraction whose suitability claim is conditional.
-
-    Density-style evidence alone never settles suitability; the flag records
-    that a topological-generation certificate must accompany any claim.
-    """
-
-    group: GroupDesc
-    members: tuple[object, ...]
-    requires_generation_check: bool = True
-
-
-def extract_suitable(seq: SuperSeq) -> SuitableSet:
-    """The member set of a truncation, flagged for the generation check."""
-    return SuitableSet(group=seq.group, members=seq.members)

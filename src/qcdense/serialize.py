@@ -1,7 +1,7 @@
 """JSON encoding for groups, elements, characters, and certificates.
 
-Integers that can exceed 2**53 (integer points, residue values) travel as
-decimal strings so consumers in double-precision languages stay exact.
+Integers that can exceed 2**53 (integer points) travel as decimal strings
+so consumers in double-precision languages stay exact.
 Bounded integers (character parameters, levels, counts) stay as numbers.
 """
 
@@ -30,7 +30,6 @@ from .groups import (
     Product,
     ProductWithFinite,
     Profinite,
-    Residues,
     Solenoid,
     SolenoidPoint,
     Torus,
@@ -208,12 +207,6 @@ def element_to_json(x):
         return x
     if isinstance(x, IntegerPoint):
         return {"type": "int_point", "m": str(x.m)}
-    if isinstance(x, Residues):
-        return {
-            "type": "residues",
-            "entries": [[p, str(r), e] for (p, r, e) in x.entries],
-            "truncated": x.truncated,
-        }
     if isinstance(x, SolenoidPoint):
         return {
             "type": "solenoid",
@@ -235,11 +228,6 @@ def element_from_json(data):
     typ = data.get("type")
     if typ == "int_point":
         return IntegerPoint(int(data["m"]))
-    if typ == "residues":
-        return Residues(
-            entries=tuple((p, int(r), e) for p, r, e in data["entries"]),
-            truncated=data.get("truncated", False),
-        )
     if typ == "solenoid":
         return SolenoidPoint(fraction_from_json(data["r"]), element_from_json(data["h"]))
     if typ == "tuple":
@@ -319,7 +307,7 @@ def _value_to_json(v):
         return v.to_string()
     if isinstance(v, Fraction):
         return fraction_to_json(v)
-    if isinstance(v, (IntegerPoint, Residues, SolenoidPoint, ProductElem)):
+    if isinstance(v, (IntegerPoint, SolenoidPoint, ProductElem)):
         return element_to_json(v)
     if isinstance(v, tuple):
         return [_value_to_json(c) for c in v]

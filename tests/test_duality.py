@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcdense._intmath import primes_below
-from qcdense.circle import UnitRational, phi
+from qcdense.circle import UnitRational, circle_add, phi
 from qcdense.duality import (
     CyclicChar,
     ProductChar,
@@ -33,9 +33,6 @@ from qcdense.groups import (
     Solenoid,
     SolenoidPoint,
     Torus,
-    group_add,
-    residues,
-    to_residues,
 )
 
 P235 = (2, 3, 5)
@@ -95,11 +92,6 @@ class TestEval:
         assert eval_char(chi, IntegerPoint(2)) == UnitRational(2, 3)
         assert eval_char(chi, IntegerPoint(3)).is_zero()
 
-    def test_profinite_on_residues(self):
-        chi = ProfiniteChar(UnitRational(1, 12))
-        h = residues({2: (1, 2), 3: (2, 2)})  # residue 5 mod 12
-        assert eval_char(chi, h) == UnitRational(5, 12)
-
     def test_solenoid_formula(self):
         chi = SolenoidChar(Fraction(1, 2))
         # chi(pi(r, h)) = phi(a r / b - a (h mod b) / b)
@@ -107,23 +99,18 @@ class TestEval:
         assert eval_char(chi, SolenoidPoint(Fraction(-1))) == UnitRational(1, 2)
 
     def test_solenoid_kills_u(self):
-        # well-defined on the quotient: the generator u = (1, v) pairs to 0,
-        # checked through the truncated-tower representation of the fiber
-        from qcdense.groups import to_residues
-
+        # well-defined on the quotient: the generator u = (1, v) pairs to 0
         for q in (Fraction(3), Fraction(1, 2), Fraction(-2, 5)):
             chi = SolenoidChar(q)
-            u = SolenoidPoint(Fraction(1), to_residues(IntegerPoint(1), P235, 8))
+            u = SolenoidPoint(Fraction(1), IntegerPoint(1))
             assert eval_char(chi, u).is_zero()
 
     def test_solenoid_representation_independent(self):
         # pi(1, 0) = pi(0, -v): the value must not depend on representation
-        from qcdense.groups import to_residues
-
         for q in (Fraction(3), Fraction(1, 2), Fraction(-2, 5)):
             chi = SolenoidChar(q)
             a = eval_char(chi, SolenoidPoint(Fraction(1)))
-            b = eval_char(chi, SolenoidPoint(0, to_residues(IntegerPoint(-1), P235, 8)))
+            b = eval_char(chi, SolenoidPoint(0, IntegerPoint(-1)))
             assert a == b
 
     def test_cyclic_formula(self):
@@ -151,10 +138,8 @@ class TestEval:
             return
         chi = ProfiniteChar(UnitRational(a, 12))
         x, y = IntegerPoint(m1), IntegerPoint(m2)
-        lhs = eval_char(chi, group_add(Profinite(P235), x, y))
-        rhs_parts = eval_char(chi, x), eval_char(chi, y)
-        G = Torus()
-        assert lhs == group_add(G, *rhs_parts)
+        lhs = eval_char(chi, IntegerPoint(m1 + m2))
+        assert lhs == circle_add(eval_char(chi, x), eval_char(chi, y))
 
     @given(
         st.fractions(min_value=-20, max_value=20),
@@ -164,7 +149,7 @@ class TestEval:
         chi = SolenoidChar(Fraction(3, 4))
         x, y = SolenoidPoint(r1), SolenoidPoint(r2)
         lhs = eval_char(chi, SolenoidPoint(r1 + r2))
-        rhs = group_add(Torus(), eval_char(chi, x), eval_char(chi, y))
+        rhs = circle_add(eval_char(chi, x), eval_char(chi, y))
         assert lhs == rhs
 
 
@@ -180,14 +165,6 @@ def _solenoid_reference(q: Fraction, r: Fraction, m: int) -> Fraction:
 
 _solenoid_q = st.builds(
     Fraction, st.integers(min_value=-300, max_value=300), st.integers(min_value=1, max_value=300)
-)
-# denominators that the residue towers of to_residues(_, P235, 8) resolve
-_smooth_q = st.builds(
-    lambda a, i, j, k: Fraction(a, 2**i * 3**j * 5**k),
-    st.integers(min_value=-300, max_value=300),
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=0, max_value=8),
 )
 # real parts with numerators of solenoid-member size as well as small ones
 _solenoid_r = st.builds(
@@ -206,12 +183,6 @@ class TestSolenoidEvalReference:
     @given(_solenoid_q, _solenoid_r, st.integers(min_value=-(10**30), max_value=10**30))
     def test_integer_fiber(self, q, r, m):
         value = eval_char(SolenoidChar(q), SolenoidPoint(r, IntegerPoint(m)))
-        assert value.as_fraction() == _solenoid_reference(q, r, m)
-
-    @given(_smooth_q, _solenoid_r, st.integers(min_value=-(10**12), max_value=10**12))
-    def test_residue_tower_fiber(self, q, r, m):
-        point = SolenoidPoint(r, to_residues(IntegerPoint(m), P235, 8))
-        value = eval_char(SolenoidChar(q), point)
         assert value.as_fraction() == _solenoid_reference(q, r, m)
 
 

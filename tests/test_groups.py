@@ -1,45 +1,27 @@
-"""Group descriptors, profinite towers, solenoid points, dispatch ops."""
+"""Group descriptors, profinite towers, solenoid points, zero elements."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from qcdense.circle import UnitRational
-from qcdense.errors import (
-    IndexOutOfRange,
-    InsufficientPrecision,
-    KindMismatch,
-    PrecisionMismatch,
-    ValidationError,
-)
+from qcdense.errors import IndexOutOfRange, KindMismatch, ValidationError
 from qcdense.groups import (
     Cyclic,
     IntegerPoint,
     Product,
     ProductElem,
     Profinite,
-    Residues,
     Solenoid,
     SolenoidPoint,
     Torus,
-    group_add,
-    group_equal,
-    group_neg,
-    group_scale,
     group_zero,
     in_Wn,
-    is_zero,
     k_sequence,
-    profinite_add,
-    profinite_equal,
     residue_mod,
-    residues,
-    to_residues,
 )
 
 P235 = (2, 3, 5)
-ints = st.integers(min_value=-(10**9), max_value=10**9)
 
 
 class TestDescriptors:
@@ -89,85 +71,11 @@ class TestKSequence:
             assert k_sequence(P, n + 1) % k_sequence(P, n) == 0
 
 
-class TestProfiniteArithmetic:
-    def test_integer_points_exact(self):
-        s = profinite_add(IntegerPoint(3), IntegerPoint(-5))
-        assert s == IntegerPoint(-2)
-
-    def test_to_residues(self):
-        h = to_residues(IntegerPoint(7), P235, 2)
-        assert h.tower() == {2: (3, 2), 3: (7, 2), 5: (7, 2)}
-
-    def test_mixed_add_coerces(self):
-        h = to_residues(IntegerPoint(1), P235, 2)
-        s = profinite_add(h, IntegerPoint(3))
-        assert s.tower() == {2: (0, 2), 3: (4, 2), 5: (4, 2)}
-        assert not s.truncated
-
-    def test_prime_set_mismatch(self):
-        a = residues({2: (1, 2), 3: (1, 2)})
-        b = residues({2: (1, 2), 5: (1, 2)})
-        with pytest.raises(PrecisionMismatch):
-            profinite_add(a, b)
-
-    def test_exponent_mismatch_truncates(self):
-        a = residues({2: (3, 3)})
-        b = residues({2: (1, 2)})
-        s = profinite_add(a, b)
-        assert s.tower() == {2: (0, 2)}
-        assert s.truncated
-
-    def test_truncated_flag_propagates(self):
-        a = residues({2: (1, 2)}, truncated=True)
-        b = residues({2: (1, 2)})
-        assert profinite_add(a, b).truncated
-
-    @given(ints, ints, ints)
-    def test_integer_add_associative(self, a, b, c):
-        x, y, z = IntegerPoint(a), IntegerPoint(b), IntegerPoint(c)
-        assert profinite_add(profinite_add(x, y), z) == profinite_add(x, profinite_add(y, z))
-
-    @given(ints, ints)
-    def test_mixed_add_matches_integer_projection(self, a, b):
-        # coerced arithmetic must agree with exact arithmetic mod the tower
-        h = to_residues(IntegerPoint(a), P235, 4)
-        s = profinite_add(h, IntegerPoint(b))
-        exact = to_residues(IntegerPoint(a + b), P235, 4)
-        assert profinite_equal(s, exact)
-
-
 class TestResidueMod:
     def test_integer_point(self):
         assert residue_mod(IntegerPoint(17), 12) == 5
         assert residue_mod(IntegerPoint(-1), 12) == 11
         assert residue_mod(IntegerPoint(5), 1) == 0
-
-    def test_crt_combination(self):
-        # x = 1 mod 4, x = 2 mod 3 -> 5 mod 12
-        h = residues({2: (1, 2), 3: (2, 2)})
-        assert residue_mod(h, 12) == 5
-
-    def test_insufficient_exponent(self):
-        h = residues({2: (1, 1)})
-        with pytest.raises(InsufficientPrecision):
-            residue_mod(h, 4)
-
-    def test_missing_prime(self):
-        h = residues({2: (1, 4)})
-        with pytest.raises(InsufficientPrecision):
-            residue_mod(h, 6)
-
-    @given(ints, st.integers(min_value=1, max_value=8 * 9 * 25))
-    def test_matches_integer_oracle(self, m, b):
-        # only moduli inside the tower's reach
-        from math import gcd
-
-        supported = 8 * 27 * 125  # exponent-3 tower over (2,3,5)
-        if supported % b != 0:
-            return
-        h = to_residues(IntegerPoint(m), P235, 3)
-        assert residue_mod(h, b) == m % b
-
 
 class TestWn:
     def test_w0_is_everything(self):
@@ -183,12 +91,6 @@ class TestWn:
     def test_kn_generates_wn(self):
         for n in range(4):
             assert in_Wn(IntegerPoint(k_sequence(P235, n)), P235, n)
-
-    def test_shallow_tower_raises(self):
-        h = residues({2: (0, 1), 3: (0, 1), 5: (0, 1)})
-        assert in_Wn(h, P235, 1)
-        with pytest.raises(InsufficientPrecision):
-            in_Wn(h, P235, 2)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -219,63 +121,24 @@ class TestSolenoidPoint:
         pts = {SolenoidPoint(Fraction(-w)) for w in range(100)}
         assert len(pts) == 100
 
-    def test_exact_vs_truncated_unequal(self):
-        exact = SolenoidPoint(Fraction(0))
-        trunc = SolenoidPoint(Fraction(0), residues({2: (0, 2), 3: (0, 2), 5: (0, 2)}))
-        assert exact != trunc
+    def test_fiber_must_be_an_integer_point(self):
+        for h in (UnitRational(1, 2), 3, ProductElem((IntegerPoint(1),))):
+            with pytest.raises(KindMismatch):
+                SolenoidPoint(Fraction(1, 2), h)
 
-    def test_on_arc(self):
-        assert SolenoidPoint(Fraction(1, 3)).on_arc()
-        assert SolenoidPoint(Fraction(2), IntegerPoint(5)).on_arc()
-        assert not SolenoidPoint(0, residues({2: (1, 2)})).on_arc()
+    def test_fiber_reads_one_shared_zero(self):
+        a, b = SolenoidPoint(Fraction(1, 3)), SolenoidPoint(0, IntegerPoint(4))
+        assert a.h == IntegerPoint(0) and a.h is b.h
 
     def test_display_reduces(self):
         assert SolenoidPoint(Fraction(-1)).display_r() == 0
         assert SolenoidPoint(Fraction(7, 2)).display_r() == Fraction(1, 2)
 
 
-class TestDispatch:
-    def test_torus(self):
-        G = Torus()
-        x = UnitRational(1, 3)
-        assert group_add(G, x, x) == UnitRational(2, 3)
-        assert is_zero(G, group_add(G, x, group_neg(G, x)))
-        assert group_scale(G, 3, x) == group_zero(G)
-
-    def test_cyclic(self):
-        G = Cyclic(6)
-        assert group_add(G, 4, 5) == 3
-        assert group_neg(G, 2) == 4
-        assert group_scale(G, 7, 2) == 2
-        assert group_zero(G) == 0
-
-    def test_profinite(self):
-        G = Profinite(P235)
-        assert group_equal(G, group_scale(G, 3, IntegerPoint(2)), IntegerPoint(6))
-
-    def test_solenoid(self):
-        G = Solenoid(P235)
-        x = SolenoidPoint(Fraction(1, 2))
-        s = group_add(G, x, x)
-        assert group_equal(G, s, SolenoidPoint(Fraction(1)))
-
-    def test_product(self):
-        G = Product((Torus(), Cyclic(4)))
-        x = ProductElem((UnitRational(1, 2), 3))
-        y = group_add(G, x, x)
-        assert y == ProductElem((UnitRational(0, 1), 2))
-        assert is_zero(G, group_scale(G, 4, x))
-
-    def test_kind_mismatch(self):
-        with pytest.raises(KindMismatch):
-            group_add(Torus(), IntegerPoint(1), IntegerPoint(1))
-
-    @given(ints, st.integers(min_value=-20, max_value=20))
-    def test_scale_matches_repeated_add(self, m, n):
-        G = Profinite(P235)
-        x = IntegerPoint(m)
-        acc = group_zero(G)
-        step = x if n >= 0 else group_neg(G, x)
-        for _ in range(abs(n)):
-            acc = group_add(G, acc, step)
-        assert group_equal(G, group_scale(G, n, x), acc)
+class TestGroupZero:
+    def test_zero_elements(self):
+        assert group_zero(Torus()) == UnitRational(0, 1)
+        assert group_zero(Cyclic(6)) == 0
+        assert group_zero(Profinite(P235)) == IntegerPoint(0)
+        assert group_zero(Solenoid(P235)) == SolenoidPoint(Fraction(0))
+        assert group_zero(Product((Torus(), Cyclic(4)))) == ProductElem((UnitRational(0, 1), 0))

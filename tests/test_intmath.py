@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from qcdense._intmath import crt, crt_pair, factorize, is_prime, primes_below
+from qcdense._intmath import factorize, is_prime, primes_below
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -46,29 +46,3 @@ def test_factorize_large():
     # trial division has to run up to the square root of the large factor
     n = 1_048_583 * 7  # prime just past 2**20 times 7
     assert factorize(n) == {7: 1, 1_048_583: 1}
-
-
-def test_crt_pair_example():
-    # x = 1 mod 4, x = 2 mod 3 -> 5 mod 12
-    assert crt_pair(1, 4, 2, 3) == (5, 12)
-
-
-def test_crt_multi():
-    x, mod = crt([(1, 4), (2, 3), (3, 5)])
-    assert mod == 60
-    assert x % 4 == 1 and x % 3 == 2 and x % 5 == 3
-
-
-@given(
-    st.integers(min_value=2, max_value=500),
-    st.integers(min_value=2, max_value=500),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_crt_recovers_value(m1, m2, x):
-    from math import gcd
-
-    if gcd(m1, m2) != 1:
-        return
-    r, mod = crt_pair(x % m1, m1, x % m2, m2)
-    assert mod == m1 * m2
-    assert r == x % mod

@@ -24,7 +24,6 @@ from qcdense.sequences import (
     ProductProjection,
     SolenoidToTorus,
     SuperSeq,
-    extract_suitable,
     fan,
     from_members,
     profinite_sequence,
@@ -149,7 +148,6 @@ class TestSolenoid:
     def test_arc_flags_all_true(self):
         s = solenoid_sequence(P235, 1, 4)
         assert all(s.arc_flags)
-        assert all(x.on_arc() for x in s.members)
 
     def test_meta_blocks(self):
         s = solenoid_sequence(P235, 0, 2)
@@ -260,19 +258,6 @@ class TestPushforward:
         assert sorted(x.to_string() for x in t.members) == sorted(
             x.to_string() for x in torus_sequence(7).members
         )
-
-
-class TestSuitable:
-    def test_extract(self):
-        s = torus_sequence(2)
-        suit = extract_suitable(s)
-        assert suit.group == s.group
-        assert set(suit.members) == {UnitRational(1, 2), UnitRational(1, 4)}
-        assert suit.requires_generation_check
-
-    def test_extract_profinite(self):
-        suit = extract_suitable(profinite_sequence(P235, 0))
-        assert set(suit.members) == {IntegerPoint(1), IntegerPoint(2)}
 
 
 class TestInvariants:

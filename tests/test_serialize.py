@@ -27,11 +27,9 @@ from qcdense.groups import (
     ProductElem,
     ProductWithFinite,
     Profinite,
-    Residues,
     Solenoid,
     SolenoidPoint,
     Torus,
-    to_residues,
 )
 from qcdense.nonabelian import builtin_group, certify_qc_with_finite_factor
 from qcdense.sequences import (
@@ -120,7 +118,6 @@ class TestElements:
             UnitRational(1, 3),
             IntegerPoint(-7),
             IntegerPoint(2**80 + 1),
-            to_residues(IntegerPoint(5), P235, 4),
             SolenoidPoint(Fraction(-3, 2)),
             ProductElem((UnitRational(1, 2), IntegerPoint(3))),
             5,
@@ -132,17 +129,6 @@ class TestElements:
         data = element_to_json(IntegerPoint(2**64))
         assert data == {"type": "int_point", "m": "18446744073709551616"}
 
-    def test_residue_values_travel_as_strings(self):
-        data = element_to_json(to_residues(IntegerPoint(10), P235, 2))
-        for p, r, e in data["entries"]:
-            assert isinstance(p, int)
-            assert isinstance(r, str)
-            assert isinstance(e, int)
-
-    def test_truncation_flag_preserved(self):
-        x = Residues(((2, 3, 2), (3, 0, 2), (5, 3, 2)), truncated=True)
-        assert element_from_json(element_to_json(x)).truncated
-
     def test_booleans_rejected(self):
         with pytest.raises(ValidationError):
             element_to_json(True)
@@ -152,6 +138,13 @@ class TestElements:
     def test_unknown_type(self):
         with pytest.raises(ValidationError):
             element_from_json({"type": "matrix"})
+
+    def test_residue_towers_rejected(self):
+        tower = {"type": "residues", "entries": [[2, "1", 2], [3, "2", 2]], "truncated": False}
+        with pytest.raises(ValidationError):
+            element_from_json(tower)
+        with pytest.raises(ValidationError):
+            element_from_json({"type": "solenoid", "r": "0/1", "h": tower})
 
     def test_solenoid_keeps_exact_fiber(self):
         x = SolenoidPoint(Fraction(1, 2), IntegerPoint(9))
@@ -270,6 +263,14 @@ class TestCertificates:
         back = certificate_from_json(certificate_to_json(cert))
         assert back == cert
         assert back.failed_character.components[1].coeffs == (1,)
+
+    def test_residue_tower_witness_rejected(self):
+        data = certificate_to_json(certify_qc(profinite_sequence(P235, 2), Profinite(P235), 6))
+        data["records"][3]["witness"] = {
+            "type": "residues", "entries": [[2, "1", 2], [3, "2", 2]], "truncated": False
+        }
+        with pytest.raises(ValidationError):
+            certificate_from_json(data)
 
     def test_status_and_bound_preserved(self):
         cert = certify_qc(torus_sequence(10), Torus(), 5)
